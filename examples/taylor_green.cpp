@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     dns::PencilSolver solver(comm, cfg);
     solver.init_taylor_green();
     for (int s = 0; s <= steps; ++s) {
-      const double e = solver.kinetic_energy();
+      const double e = solver.diagnostics().energy;
       if (comm.rank() == 0) pencil_energy.push_back(e);
       if (s < steps) solver.step(dt);
     }

@@ -281,6 +281,32 @@ class Communicator {
     barrier();
   }
 
+  /// MPI_GATHERV: rank r contributes counts[r] elements; root receives
+  /// them back to back in rank order. recv may be null on non-roots.
+  template <class T>
+  void gatherv(const T* send, T* recv, const std::size_t* counts, int root) {
+    publish(send);
+    if (rank_ == root) {
+      for (int r = 0; r < size(); ++r) {
+        const T* theirs = peek<T>(r);
+        recv = std::copy(theirs, theirs + counts[r], recv);
+      }
+    }
+    barrier();
+  }
+
+  /// MPI_SCATTERV: the inverse of gatherv (counts known on every rank).
+  /// send may be null on non-roots.
+  template <class T>
+  void scatterv(const T* send, T* recv, const std::size_t* counts,
+                int root) {
+    publish(send);
+    const T* src = peek<T>(root);
+    for (int r = 0; r < rank_; ++r) src += counts[r];
+    std::copy(src, src + counts[rank_], recv);
+    barrier();
+  }
+
   /// MPI_COMM_SPLIT: ranks with equal `color` form a new communicator,
   /// ordered by (key, parent rank).
   Communicator split(int color, int key);

@@ -1,90 +1,24 @@
 #pragma once
-// The synchronous pencil-decomposed CPU baseline: the same Navier-Stokes
-// physics as SlabSolver, on the 2-D domain decomposition used by the
-// production CPU code of Yeung et al. (2015) that the paper benchmarks
-// against (Table 3 "Sync CPU"). Since both solvers are adapters over
-// dns::SpectralNSCore, the baseline gets the full feature set - RK2/RK4,
-// forcing, passive scalars, phase-shift dealiasing, diagnostics - and the
-// test suite can assert that both decompositions advance the flow
-// identically from the same decomposition-invariant initial conditions.
+// The pencil-solver names the benchmark (perfbench/) is written against: the
+// one engine on the pencil backend, the 2-D decomposition of the production
+// CPU code of Yeung et al. (2015) that the paper benchmarks against
+// (Table 3 "Sync CPU").
 
 #include "dns/spectral_core.hpp"
-#include "transpose/dist_fft.hpp"
 
 namespace psdns::dns {
 
-struct PencilSolverConfig {
-  std::size_t n = 32;
-  double viscosity = 0.01;
-  int pr = 1;  // process-grid rows (on-node communicator in production)
-  int pc = 1;  // process-grid columns
-  TimeScheme scheme = TimeScheme::RK2;
-  bool phase_shift_dealias = false;
-  ForcingConfig forcing;
-  std::vector<ScalarConfig> scalars;
-  SystemType system = SystemType::NavierStokes;
-  double rotation_omega = 0.0;
-  double brunt_vaisala = 1.0;
-  double resistivity = 0.0;
-};
+/// The benchmark's API: the pencil config is the one SolverConfig.
+using PencilSolverConfig = SolverConfig;
 
-namespace detail {
-/// Holder base so the FFT backend is constructed before the SpectralNSCore
-/// base that takes a reference to it.
-struct PencilFftMember {
-  PencilFftMember(comm::Communicator& comm, std::size_t n, int pr, int pc)
-      : pencil_fft_(comm, n, pr, pc) {}
-  transpose::PencilFft3d pencil_fft_;
-};
-}  // namespace detail
-
-class PencilSolver : private detail::PencilFftMember, public SpectralNSCore {
+/// The benchmark's API: the engine with decomposition forced to Pencil.
+class PencilSolver : public SpectralEngine {
  public:
-  PencilSolver(comm::Communicator& comm, PencilSolverConfig config)
-      : detail::PencilFftMember(comm, config.n, config.pr, config.pc),
-        SpectralNSCore(comm, pencil_fft_, to_solver_config(config)),
-        pencil_config_(std::move(config)) {}
-
-  /// Hides the base config(): pencil callers care about pr/pc.
-  const PencilSolverConfig& config() const { return pencil_config_; }
-
-  transpose::PencilFft3d& pencil_fft() { return pencil_fft_; }
-  const transpose::PencilFft3d& pencil_fft() const { return pencil_fft_; }
-
-  // --- legacy baseline API (thin wrappers over the shared physics) ---
-
-  double kinetic_energy() {
-    return dns::kinetic_energy(modes(), communicator(), uhat(0), uhat(1),
-                               uhat(2));
-  }
-  double dissipation_rate() {
-    return dns::dissipation(modes(), communicator(), uhat(0), uhat(1),
-                            uhat(2), pencil_config_.viscosity);
-  }
-  double max_div() {
-    return dns::max_divergence(modes(), communicator(), uhat(0), uhat(1),
-                               uhat(2));
-  }
-
- private:
-  static SolverConfig to_solver_config(const PencilSolverConfig& pc) {
-    SolverConfig sc;
-    sc.n = pc.n;
-    sc.viscosity = pc.viscosity;
-    sc.scheme = pc.scheme;
-    sc.phase_shift_dealias = pc.phase_shift_dealias;
-    sc.pencils = 1;
-    sc.pencils_per_a2a = 1;
-    sc.forcing = pc.forcing;
-    sc.scalars = pc.scalars;
-    sc.system = pc.system;
-    sc.rotation_omega = pc.rotation_omega;
-    sc.brunt_vaisala = pc.brunt_vaisala;
-    sc.resistivity = pc.resistivity;
-    return sc;
-  }
-
-  PencilSolverConfig pencil_config_;
+  PencilSolver(comm::Communicator& comm, SolverConfig config)
+      : SpectralEngine(comm, [&config] {
+          config.decomposition = Decomposition::Pencil;
+          return std::move(config);
+        }()) {}
 };
 
 }  // namespace psdns::dns

@@ -6,35 +6,32 @@
 
 namespace psdns::dns {
 
-void spectral_regrid(SlabSolver& src, SlabSolver& dst) {
+void spectral_regrid(SpectralEngine& src, SpectralEngine& dst) {
   PSDNS_REQUIRE(&src.communicator() == &dst.communicator(),
                 "src and dst must share a communicator");
-  PSDNS_REQUIRE(src.scalar_count() == dst.scalar_count(),
-                "src and dst must carry the same scalars");
+  PSDNS_REQUIRE(src.config().system == dst.config().system &&
+                    src.field_count() == dst.field_count(),
+                "src and dst must carry the same system and fields");
   auto& comm = src.communicator();
 
   const std::size_t ns = src.n();
   const std::size_t nxh_s = ns / 2 + 1;
-  const auto src_slab = src.modes().local_modes();
 
-  // Gather each source field globally and broadcast, then every rank fills
-  // its destination slab by wavenumber lookup. Global Z-slab order is the
-  // rank-ordered concatenation of local slabs.
-  std::vector<Complex> global(nxh_s * ns * ns);
-  const std::size_t dst_slab = dst.modes().local_modes();
-  const int nfields = 3 + src.scalar_count();
+  // Assemble each source field globally and broadcast it, then every rank
+  // fills its destination block by wavenumber lookup.
+  transpose::GlobalModes modes(comm, src.modes());
+  std::vector<Complex> global(modes.global_size());
+  const std::size_t nfields = src.field_count();
   std::vector<std::vector<Complex>> out(
-      static_cast<std::size_t>(nfields),
-      std::vector<Complex>(dst_slab, Complex{0.0, 0.0}));
+      nfields,
+      std::vector<Complex>(dst.modes().local_modes(), Complex{0.0, 0.0}));
 
   const int half_s = static_cast<int>(ns) / 2;
-  for (int f = 0; f < nfields; ++f) {
-    const Complex* local_field =
-        f < 3 ? src.uhat(f) : src.that(f - 3);
-    comm.gather(local_field, global.data(), src_slab, 0);
+  for (std::size_t f = 0; f < nfields; ++f) {
+    modes.gather(src.field(f), global.data());
     comm.broadcast(global.data(), global.size(), 0);
 
-    auto& o = out[static_cast<std::size_t>(f)];
+    auto& o = out[f];
     for_each_mode(dst.modes(), [&](std::size_t idx, int kx, int ky, int kz) {
       if (kx > half_s || std::abs(ky) > half_s || std::abs(kz) > half_s) {
         return;  // beyond the source grid: stays zero (upsampling)
@@ -49,19 +46,15 @@ void spectral_regrid(SlabSolver& src, SlabSolver& dst) {
     });
   }
 
-  std::vector<const Complex*> ptrs(static_cast<std::size_t>(nfields));
-  for (int f = 0; f < nfields; ++f) {
-    ptrs[static_cast<std::size_t>(f)] = out[static_cast<std::size_t>(f)].data();
-  }
-  dst.restore(std::span<const Complex* const>(ptrs.data(),
-                                              static_cast<std::size_t>(nfields)),
+  std::vector<const Complex*> ptrs(nfields);
+  for (std::size_t f = 0; f < nfields; ++f) ptrs[f] = out[f].data();
+  dst.restore(std::span<const Complex* const>(ptrs.data(), nfields),
               src.time(), src.step_count());
 
   // Downsampling can reintroduce content above the destination's dealiasing
   // cutoff; one truncation pass restores the invariant.
-  for (int c = 0; c < 3; ++c) dealias_truncate(dst.modes(), dst.uhat(c));
-  for (int s = 0; s < dst.scalar_count(); ++s) {
-    dealias_truncate(dst.modes(), dst.that(s));
+  for (std::size_t f = 0; f < nfields; ++f) {
+    dealias_truncate(dst.modes(), dst.field(f));
   }
 }
 

@@ -1,40 +1,13 @@
 #pragma once
-// The slab-decomposed pseudo-spectral Navier-Stokes solver - the "new code"
-// of the paper, in its functional (numerics-exact) form. Since the physics
-// moved into the decomposition-agnostic dns::SpectralNSCore, this is a thin
-// adapter: it owns the transpose::SlabFft3d backend (Y-slab physical,
-// Z-slab spectral layout; the paper's x,z,y transform order and np/Q
-// pencil batching of Sec. 3.3-4.1) and derives the full solver API -
-// RK2/RK4 stepping, forcing, passive scalars, diagnostics and spectra -
-// from the core.
+// The solver names the benchmark (perfbench/) is written against. The one
+// solver is dns::SpectralEngine; SolverConfig::decomposition picks its FFT
+// backend.
 
 #include "dns/spectral_core.hpp"
-#include "transpose/dist_fft.hpp"
 
 namespace psdns::dns {
 
-namespace detail {
-/// Holder base so the FFT backend is constructed before the SpectralNSCore
-/// base that takes a reference to it.
-struct SlabFftMember {
-  SlabFftMember(comm::Communicator& comm, std::size_t n)
-      : slab_fft_(comm, n) {}
-  transpose::SlabFft3d slab_fft_;
-};
-}  // namespace detail
-
-class SlabSolver : private detail::SlabFftMember, public SpectralNSCore {
- public:
-  SlabSolver(comm::Communicator& comm, SolverConfig config)
-      : detail::SlabFftMember(comm, config.n),
-        SpectralNSCore(comm, slab_fft_, std::move(config)) {}
-
-  /// The concrete backend (tests and benches poke at slab internals).
-  transpose::SlabFft3d& slab_fft() { return slab_fft_; }
-  const transpose::SlabFft3d& slab_fft() const { return slab_fft_; }
-
-  /// Back-compat alias: this used to be a nested struct.
-  using DerivativeMoments = dns::DerivativeMoments;
-};
+/// The benchmark's API: the engine under its slab-solver name.
+using SlabSolver = SpectralEngine;
 
 }  // namespace psdns::dns

@@ -1,21 +1,25 @@
 #pragma once
 // Solver configuration shared by the spectral engine, the equation systems
-// and every adapter above them (slab/pencil solvers, driver, service).
-// Split out of spectral_core.hpp when the physics moved behind the
-// EquationSystem interface: the config names *which* system integrates the
-// fields plus the per-system physical parameters, while the engine-level
-// knobs (grid, scheme, dealiasing, batching) stay system-agnostic.
+// and every layer above them (driver, service). Split out of
+// spectral_core.hpp when the physics moved behind the EquationSystem
+// interface: the config names *which* system integrates the fields plus the
+// per-system physical parameters, and *which* FFT backend the engine builds
+// (decomposition and process grid), while the engine-level knobs (grid,
+// scheme, dealiasing, batching) stay system-agnostic.
 
 #include <cstddef>
 #include <source_location>
 #include <string>
 #include <vector>
 
+#include "transpose/views.hpp"
 #include "util/check.hpp"
 
 namespace psdns::dns {
 
 enum class TimeScheme { RK2, RK4 };
+
+using transpose::Decomposition;
 
 /// Which equation set the engine integrates. Each value maps to one
 /// EquationSystem implementation in src/dns/systems/.
@@ -64,6 +68,10 @@ struct ScalarConfig {
 struct SolverConfig {
   std::size_t n = 32;
   double viscosity = 0.01;
+  // --- FFT backend -----------------------------------------------------
+  Decomposition decomposition = Decomposition::Slab;
+  int pr = 1;  // Pencil: process-grid rows (on-node communicator in production)
+  int pc = 1;  // Pencil: process-grid columns; pr * pc = rank count
   TimeScheme scheme = TimeScheme::RK2;
   bool phase_shift_dealias = false;  // Rogallo shifts on top of truncation
   int pencils = 1;                   // np: pencils per slab (GPU batching)

@@ -30,11 +30,12 @@ double noise(std::uint64_t seed, std::size_t i, std::size_t j, std::size_t k,
 }
 }  // namespace
 
-SpectralEngine::SpectralEngine(comm::Communicator& comm,
-                               transpose::DistFft3d& fft, SolverConfig config)
-    : comm_(comm), config_(std::move(config)), fft_(fft) {
+SpectralEngine::SpectralEngine(comm::Communicator& comm, SolverConfig config)
+    : comm_(comm),
+      config_(std::move(config)),
+      fft_(transpose::make_dist_fft(comm, config_.n, config_.decomposition,
+                                    config_.pr, config_.pc)) {
   PSDNS_REQUIRE(config_.n >= 4, "grid too small for a DNS");
-  PSDNS_REQUIRE(fft_.n() == config_.n, "FFT backend grid size mismatch");
   PSDNS_REQUIRE(config_.viscosity > 0.0, "viscosity must be positive");
   PSDNS_REQUIRE(config_.pencils >= 1 && config_.pencils_per_a2a >= 1,
                 "bad pencil batching");
@@ -50,11 +51,11 @@ SpectralEngine::SpectralEngine(comm::Communicator& comm,
   }
   system_ = make_equation_system(config_);
 
-  fft_.set_batching(config_.pencils, config_.pencils_per_a2a);
-  view_ = fft_.mode_view();
-  pview_ = fft_.phys_view();
-  spec_ = fft_.spectral_elems();
-  phys_elems_ = fft_.physical_elems();
+  fft_->set_batching(config_.pencils, config_.pencils_per_a2a);
+  view_ = fft_->mode_view();
+  pview_ = fft_->phys_view();
+  spec_ = fft_->spectral_elems();
+  phys_elems_ = fft_->physical_elems();
   const std::size_t nf = field_count();
   nprod_ = system_->product_count();
 
@@ -155,8 +156,8 @@ void SpectralEngine::init_from_function(
   });
   const Real* phys3[3] = {px, py, pz};
   Complex* spec3[3] = {state_[0].data(), state_[1].data(), state_[2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
+  fft_->forward(std::span<const Real* const>(phys3, 3),
+                std::span<Complex* const>(spec3, 3));
   finalize_velocity_ic();
 }
 
@@ -210,8 +211,8 @@ void SpectralEngine::init_isotropic(std::uint64_t seed, double k_peak,
   });
   const Real* phys3[3] = {px, py, pz};
   Complex* spec3[3] = {state_[0].data(), state_[1].data(), state_[2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
+  fft_->forward(std::span<const Real* const>(phys3, 3),
+                std::span<Complex* const>(spec3, 3));
   finalize_velocity_ic();
   shape_vector_spectrum(0, k_peak, energy);
 }
@@ -229,8 +230,8 @@ void SpectralEngine::init_scalar_from_function(
                   cell * static_cast<double>(zi));
   });
   auto& theta = state_[static_cast<std::size_t>(3 + s)];
-  fft_.forward(std::span<const Real>(phys, phys_elems_),
-               std::span<Complex>(theta.data(), theta.size()));
+  fft_->forward(std::span<const Real>(phys, phys_elems_),
+                std::span<Complex>(theta.data(), theta.size()));
   const double scale = 1.0 / (static_cast<double>(n) * n * n);
   for (auto& z : theta) z *= scale;
   apply_dealias(theta.data());
@@ -247,8 +248,8 @@ void SpectralEngine::init_scalar_isotropic(int s, std::uint64_t seed,
     phys[idx] = noise(seed, xi, yi, zi, 100 + s);
   });
   auto& theta = state_[static_cast<std::size_t>(3 + s)];
-  fft_.forward(std::span<const Real>(phys, phys_elems_),
-               std::span<Complex>(theta.data(), theta.size()));
+  fft_->forward(std::span<const Real>(phys, phys_elems_),
+                std::span<Complex>(theta.data(), theta.size()));
   const double scale = 1.0 / (static_cast<double>(n) * n * n);
   for (auto& z : theta) z *= scale;
   // Zero-mean fluctuation: only the rank owning the k = 0 mode holds it.
@@ -305,8 +306,8 @@ void SpectralEngine::init_magnetic_isotropic(std::uint64_t seed, double k_peak,
   const Real* phys3[3] = {px, py, pz};
   Complex* spec3[3] = {state_[base].data(), state_[base + 1].data(),
                        state_[base + 2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
+  fft_->forward(std::span<const Real* const>(phys3, 3),
+                std::span<Complex* const>(spec3, 3));
   finalize_vector_ic(base);
   shape_vector_spectrum(base, k_peak, energy);
 
@@ -336,8 +337,8 @@ void SpectralEngine::init_magnetic_from_function(
   const Real* phys3[3] = {px, py, pz};
   Complex* spec3[3] = {state_[base].data(), state_[base + 1].data(),
                        state_[base + 2].data()};
-  fft_.forward(std::span<const Real* const>(phys3, 3),
-               std::span<Complex* const>(spec3, 3));
+  fft_->forward(std::span<const Real* const>(phys3, 3),
+                std::span<Complex* const>(spec3, 3));
   finalize_vector_ic(base);
 }
 
@@ -396,8 +397,8 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   } else {
     for (std::size_t f = 0; f < nf; ++f) spec_in_[f] = in[f];
   }
-  fft_.inverse(std::span<const Complex* const>(spec_in_.data(), nf),
-               std::span<Real* const>(phys_out_.data(), nf));
+  fft_->inverse(std::span<const Complex* const>(spec_in_.data(), nf),
+                std::span<Real* const>(phys_out_.data(), nf));
 
   // 2. Pointwise max signal speed (CFL bookkeeping): the velocity, plus the
   //    magnetic field for MHD (b is in Alfven-velocity units, so this keeps
@@ -423,8 +424,8 @@ void SpectralEngine::compute_rhs(const Complex* const* in, Complex* const* rhs,
   system_->form_products(field_phys_.data(), prod_out_.data(), phys_elems_);
 
   // 4. Products to spectral space (one multi-variable transform).
-  fft_.forward(std::span<const Real* const>(prod_in_.data(), nprod_),
-               std::span<Complex* const>(prod_spec_.data(), nprod_));
+  fft_->forward(std::span<const Real* const>(prod_in_.data(), nprod_),
+                std::span<Complex* const>(prod_spec_.data(), nprod_));
   for (std::size_t t = 0; t < nprod_; ++t) {
     Complex* p = block(prod_hat_, t);
     for (std::size_t i = 0; i < spec_; ++i) p[i] *= inv_n3;
@@ -645,8 +646,8 @@ DerivativeMoments SpectralEngine::derivative_moments() {
   const Complex* spec3[3] = {block(stage_, 0), block(stage_, 1),
                              block(stage_, 2)};
   Real* phys3[3] = {phys_block(0), phys_block(1), phys_block(2)};
-  fft_.inverse(std::span<const Complex* const>(spec3, 3),
-               std::span<Real* const>(phys3, 3));
+  fft_->inverse(std::span<const Complex* const>(spec3, 3),
+                std::span<Real* const>(phys3, 3));
 
   double m2 = 0.0, m3 = 0.0, m4 = 0.0;
   for (int c = 0; c < 3; ++c) {

@@ -1,12 +1,13 @@
 #pragma once
-// The physics-agnostic pseudo-spectral engine: one implementation of the
-// paper's time-stepping machinery (Sec. 2) written against the
-// transpose::DistFft3d backend interface, shared by the slab solver (the
-// "new code") and the pencil baseline (the synchronous CPU code of Yeung
-// et al. 2015 the paper benchmarks against).
+// The physics-agnostic pseudo-spectral engine: the one solver, running the
+// paper's time-stepping machinery (Sec. 2) on either FFT backend. It builds
+// and owns its transpose::DistFft3d from SolverConfig::decomposition - the
+// slab backend (the paper's "new code") or the pencil backend (the
+// synchronous CPU code of Yeung et al. 2015 the paper benchmarks against) -
+// and is written only against the backend interface.
 //
 // The engine owns everything that is the same for every equation set:
-// state and arena scratch, the batched multi-variable DistFft3d round
+// the FFT backend, state and arena scratch, the batched multi-variable DistFft3d round
 // trips, strict-2/3 / Rogallo phase-shift dealiasing, RK2/RK4 stepping
 // with exact per-field linear propagators, band forcing, checkpoint
 // restore, and the generic statistics. Everything that differs between
@@ -48,13 +49,12 @@ namespace psdns::dns {
 
 class SpectralEngine {
  public:
-  /// The backend must outlive the engine. The engine configures the
-  /// backend's transpose batching from config (pencils / pencils_per_a2a),
-  /// validates the forcing band, normalizes the config for the selected
-  /// system (Boussinesq materializes its buoyancy scalar), and builds the
-  /// EquationSystem.
-  SpectralEngine(comm::Communicator& comm, transpose::DistFft3d& fft,
-                 SolverConfig config);
+  /// Builds the FFT backend of config.decomposition (make_dist_fft) and
+  /// sets its transpose batching (pencils / pencils_per_a2a), validates the
+  /// forcing band, normalizes the config for the selected system
+  /// (Boussinesq materializes its buoyancy scalar), and builds the
+  /// EquationSystem. Collective.
+  SpectralEngine(comm::Communicator& comm, SolverConfig config);
 
   const SolverConfig& config() const { return config_; }
   std::size_t n() const { return config_.n; }
@@ -63,7 +63,7 @@ class SpectralEngine {
   const ModeView& modes() const { return view_; }
   const PhysView& points() const { return pview_; }
   comm::Communicator& communicator() { return comm_; }
-  transpose::DistFft3d& fft() { return fft_; }
+  transpose::DistFft3d& fft() { return *fft_; }
   const EquationSystem& system() const { return *system_; }
   int scalar_count() const {
     return static_cast<int>(config_.scalars.size());
@@ -222,7 +222,7 @@ class SpectralEngine {
 
   comm::Communicator& comm_;
   SolverConfig config_;
-  transpose::DistFft3d& fft_;
+  std::unique_ptr<transpose::DistFft3d> fft_;
   std::unique_ptr<EquationSystem> system_;
   ModeView view_;
   PhysView pview_;
@@ -256,10 +256,5 @@ class SpectralEngine {
   std::vector<Complex*> prod_spec_;
   std::vector<const Complex*> prod_spec_const_;
 };
-
-/// The engine's historical name: the physics used to be hard-coded to
-/// incompressible Navier-Stokes. Adapters (SlabSolver, PencilSolver) and
-/// older call sites still use it.
-using SpectralNSCore = SpectralEngine;
 
 }  // namespace psdns::dns

@@ -1,7 +1,8 @@
 #pragma once
 // Incompressible Navier-Stokes with passive scalars: the seed physics of
-// the repo, moved verbatim out of the old SpectralNSCore so the engine
-// refactor stays bit-compatible (pinned by the systems_test digests).
+// the repo, moved verbatim out of the engine's former hard-coded physics
+// so the engine refactor stays bit-compatible (pinned by the systems_test
+// digests).
 
 #include "dns/systems/equation_system.hpp"
 

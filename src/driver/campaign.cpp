@@ -153,7 +153,7 @@ CampaignResult run_campaign(comm::Communicator& comm,
   obs::init_tracing_from_env();
   const io::CheckpointOptions ckpt_opts = checkpoint_options(cfg);
 
-  dns::SlabSolver solver(comm, cfg.solver);
+  dns::SpectralEngine solver(comm, cfg.solver);
 
   CampaignResult result;
   const bool have_checkpoint =

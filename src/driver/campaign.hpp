@@ -19,7 +19,7 @@
 #include <string>
 
 #include "comm/communicator.hpp"
-#include "dns/solver.hpp"
+#include "dns/spectral_core.hpp"
 #include "io/series.hpp"
 #include "obs/health.hpp"
 #include "obs/reduce.hpp"

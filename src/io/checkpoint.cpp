@@ -12,6 +12,7 @@
 #include "obs/span.hpp"
 #include "resilience/crc32c.hpp"
 #include "resilience/fault.hpp"
+#include "transpose/dist_fft.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -281,7 +282,7 @@ std::vector<std::string> checkpoint_chain(const std::string& path) {
   return chain;
 }
 
-void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
+void save_checkpoint(const std::string& path, dns::SpectralEngine& solver,
                      const CheckpointOptions& opts) {
   PSDNS_REQUIRE(opts.keep >= 1 && opts.keep <= kMaxChain,
                 "checkpoint keep out of range");
@@ -289,8 +290,6 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
   obs::TraceSpan span("io.checkpoint.save", obs::SpanKind::Io);
   const util::Stopwatch watch;
   const std::size_t n = solver.n();
-  const std::size_t nxh = n / 2 + 1;
-  const std::size_t slab = solver.modes().local_modes();
   const std::size_t nfields = solver.field_count();
 
   CheckpointInfo info;
@@ -300,17 +299,18 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
   info.viscosity = solver.config().viscosity;
   info.scalars = static_cast<std::uint32_t>(solver.extra_field_count());
 
-  // Z-slabs concatenate to the global (i, j, k) order, so a rank-ordered
-  // gather is exactly the file layout. Every field is gathered up front so
-  // the rank-0 write transaction can be retried without re-entering any
-  // collective (the other ranks are already past their part).
+  // The global (i, j, k) order is the file layout. Every field is gathered
+  // up front so the rank-0 write transaction can be retried without
+  // re-entering any collective (the other ranks are already past their
+  // part).
+  transpose::GlobalModes modes(comm, solver.modes());
   std::vector<std::vector<Complex>> fields;
   if (comm.rank() == 0) {
-    fields.assign(nfields, std::vector<Complex>(nxh * n * n));
+    fields.assign(nfields, std::vector<Complex>(modes.global_size()));
   }
   for (std::size_t c = 0; c < nfields; ++c) {
-    Complex* dst = comm.rank() == 0 ? fields[c].data() : nullptr;
-    comm.gather(solver.field(c), dst, slab, 0);
+    modes.gather(solver.field(c),
+                 comm.rank() == 0 ? fields[c].data() : nullptr);
   }
 
   Captured cap;
@@ -336,13 +336,13 @@ void save_checkpoint(const std::string& path, dns::SlabSolver& solver,
 }
 
 CheckpointInfo load_checkpoint(const std::string& path,
-                               dns::SlabSolver& solver) {
+                               dns::SpectralEngine& solver) {
   auto& comm = solver.communicator();
   obs::TraceSpan span("io.checkpoint.load", obs::SpanKind::Io);
   const util::Stopwatch watch;
   const std::size_t n = solver.n();
-  const std::size_t nxh = n / 2 + 1;
-  const std::size_t slab = solver.modes().local_modes();
+  const std::size_t local_modes = solver.modes().local_modes();
+  transpose::GlobalModes modes(comm, solver.modes());
 
   CheckpointInfo info;
   std::vector<Complex> global;
@@ -374,7 +374,7 @@ CheckpointInfo load_checkpoint(const std::string& path,
                 " extra fields, solver has " +
                 std::to_string(solver.extra_field_count()));
       }
-      global.resize(nxh * n * n);
+      global.resize(modes.global_size());
     });
   }
   agree_or_throw(comm, cap, path);
@@ -385,7 +385,7 @@ CheckpointInfo load_checkpoint(const std::string& path,
   std::vector<const Complex*> ptrs(nfields);
   for (std::size_t c = 0; c < nfields; ++c) {
     auto& mine = local[c];
-    mine.resize(slab);
+    mine.resize(local_modes);
     if (comm.rank() == 0) {
       capture(cap, [&] {
         read_field(f.get(), global.data(), global.size() * sizeof(Complex),
@@ -393,7 +393,7 @@ CheckpointInfo load_checkpoint(const std::string& path,
       });
     }
     agree_or_throw(comm, cap, path);
-    comm.scatter(global.data(), mine.data(), slab, 0);
+    modes.scatter(global.data(), mine.data());
     ptrs[c] = mine.data();
   }
 

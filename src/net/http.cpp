@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -71,6 +72,7 @@ std::string trimmed(const std::string& text, std::size_t b, std::size_t e) {
 
 constexpr std::size_t kMaxHeadBytes = 8192;
 constexpr std::size_t kMaxHeaderCount = 100;
+constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;
 
 /// Parses the "Name: value" lines of `head` between `pos` and `end`
 /// (exclusive; lines are \r\n-terminated, the terminator of the last line
@@ -387,9 +389,11 @@ void HttpServer::handle(int client_fd) {
   const std::string length_text = request.header("Content-Length");
   std::size_t body_size = 0;
   if (!length_text.empty()) {
-    body_size = static_cast<std::size_t>(std::atoll(length_text.c_str()));
-    if (body_size > (1u << 20)) {
-      refuse("body too large");
+    const char* end = length_text.data() + length_text.size();
+    const auto [stop, err] =
+        std::from_chars(length_text.data(), end, body_size);
+    if (err != std::errc{} || stop != end || body_size > kMaxBodyBytes) {
+      refuse("Content-Length must be a decimal byte count up to 1 MiB");
       return;
     }
   }

@@ -4,6 +4,7 @@
 
 #include "dns/solver_config.hpp"
 #include "obs/json.hpp"
+#include "transpose/pencil.hpp"
 #include "util/check.hpp"
 
 namespace psdns::svc {
@@ -93,13 +94,9 @@ void JobRequest::validate() const {
     PSDNS_REQUIRE(n % static_cast<std::size_t>(ranks) == 0,
                   "slab job needs ranks dividing n");
   } else {
-    // The pencil runner factors ranks into the most square pr x pc grid;
-    // both factors must divide the grid.
-    int pr = 1;
-    for (int r = 1; r * r <= ranks; ++r) {
-      if (ranks % r == 0) pr = r;
-    }
-    const int pc = ranks / pr;
+    // The runner factors ranks into the most square pr x pc grid; both
+    // factors must divide the grid.
+    const auto [pr, pc] = transpose::most_square_grid(ranks);
     PSDNS_REQUIRE(n % static_cast<std::size_t>(pr) == 0 &&
                       n % static_cast<std::size_t>(pc) == 0,
                   "pencil job needs the process-grid factors dividing n");

@@ -17,11 +17,12 @@
 #include <string>
 
 #include "obs/span.hpp"
+#include "transpose/views.hpp"
 #include "util/config.hpp"
 
 namespace psdns::svc {
 
-enum class Decomposition { Slab, Pencil };
+using transpose::Decomposition;
 enum class DealiasMode { Truncation, PhaseShift };
 
 const char* to_string(Decomposition d);

@@ -1,15 +1,15 @@
 #include "svc/runner.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "dns/pencil_solver.hpp"
 #include "driver/campaign.hpp"
 #include "io/checkpoint.hpp"
 #include "obs/json.hpp"
+#include "transpose/pencil.hpp"
 #include "util/check.hpp"
 
 namespace psdns::svc {
@@ -62,6 +62,10 @@ dns::SolverConfig solver_config(const JobRequest& request) {
   dns::SolverConfig sc;
   sc.n = request.n;
   sc.viscosity = request.viscosity;
+  sc.decomposition = request.decomposition;
+  if (request.decomposition == Decomposition::Pencil) {
+    std::tie(sc.pr, sc.pc) = transpose::most_square_grid(request.ranks);
+  }
   sc.scheme = request.scheme == "rk4" ? dns::TimeScheme::RK4
                                       : dns::TimeScheme::RK2;
   sc.phase_shift_dealias = request.dealias == DealiasMode::PhaseShift;
@@ -76,9 +80,9 @@ dns::SolverConfig solver_config(const JobRequest& request) {
   return sc;
 }
 
-JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
-                        const std::string& checkpoint_path,
-                        obs::FlowId flow) {
+JobOutcome run_campaign_job(const JobRequest& request,
+                            const std::string& checkpoint_path,
+                            obs::FlowId flow) {
   driver::CampaignConfig cfg;
   cfg.solver = solver_config(request);
   cfg.seed = request.seed;
@@ -90,7 +94,6 @@ JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
   cfg.checkpoint_path = checkpoint_path;
   cfg.metrics_port = -1;       // jobs share the service's endpoint
   cfg.write_trace_at_end = false;  // the service owns the trace lifetime
-  (void)workdir;
 
   JobOutcome outcome;
   comm::run_ranks(request.ranks, [&](comm::Communicator& comm) {
@@ -110,58 +113,6 @@ JobOutcome run_slab_job(const JobRequest& request, const std::string& workdir,
   return outcome;
 }
 
-JobOutcome run_pencil_job(const JobRequest& request, obs::FlowId flow) {
-  // Most square process grid with pr <= pc.
-  int pr = 1;
-  for (int r = 1; r * r <= request.ranks; ++r) {
-    if (request.ranks % r == 0) pr = r;
-  }
-  const int pc = request.ranks / pr;
-
-  dns::PencilSolverConfig pcfg;
-  const dns::SolverConfig sc = solver_config(request);
-  pcfg.n = sc.n;
-  pcfg.viscosity = sc.viscosity;
-  pcfg.scheme = sc.scheme;
-  pcfg.phase_shift_dealias = sc.phase_shift_dealias;
-  pcfg.forcing = sc.forcing;
-  pcfg.scalars = sc.scalars;
-  pcfg.system = sc.system;
-  pcfg.rotation_omega = sc.rotation_omega;
-  pcfg.brunt_vaisala = sc.brunt_vaisala;
-  pcfg.resistivity = sc.resistivity;
-  pcfg.pr = pr;
-  pcfg.pc = pc;
-
-  JobOutcome outcome;
-  comm::run_ranks(request.ranks, [&](comm::Communicator& comm) {
-    obs::TraceSpan rank_span("svc.run", obs::SpanKind::Compute);
-    obs::flow_consume(flow);
-    dns::PencilSolver solver(comm, pcfg);
-    solver.init_isotropic(request.seed, 3.0, 0.5);
-    for (int s = 0; s < solver.scalar_count(); ++s) {
-      solver.init_scalar_isotropic(s, request.seed + 1000 +
-                                          static_cast<std::uint64_t>(s),
-                                   3.0, 0.25);
-    }
-    if (solver.magnetic_base() >= 0) {
-      solver.init_magnetic_isotropic(request.seed + 2000, 3.0, 0.25);
-    }
-    for (std::int64_t step = 0; step < request.steps; ++step) {
-      const double dt =
-          std::min(solver.cfl_dt(request.cfl), request.max_dt);
-      solver.step(dt);
-    }
-    const dns::Diagnostics d = solver.diagnostics();
-    const std::vector<double> spectrum = solver.spectrum();
-    if (comm.rank() == 0) {
-      outcome.result_json = result_json(request, request.steps,
-                                        solver.time(), d, spectrum, "");
-    }
-  });
-  return outcome;
-}
-
 }  // namespace
 
 JobOutcome run_job(const JobRequest& request, const std::string& workdir,
@@ -171,10 +122,6 @@ JobOutcome run_job(const JobRequest& request, const std::string& workdir,
   fs::create_directories(workdir, ec);
   PSDNS_REQUIRE(!ec, "cannot create service workdir " + workdir);
 
-  if (request.decomposition == Decomposition::Pencil) {
-    return run_pencil_job(request, flow);
-  }
-
   const std::string checkpoint_path =
       (fs::path(workdir) / (request.hash() + ".ckpt")).string();
   // A finished run of this hash leaves its chain behind; run_campaign
@@ -183,7 +130,7 @@ JobOutcome run_job(const JobRequest& request, const std::string& workdir,
   for (const std::string& link : io::checkpoint_chain(checkpoint_path)) {
     fs::remove(link, ec);
   }
-  return run_slab_job(request, workdir, checkpoint_path, flow);
+  return run_campaign_job(request, checkpoint_path, flow);
 }
 
 }  // namespace psdns::svc

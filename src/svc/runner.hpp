@@ -11,14 +11,13 @@
 // faults (the supervisor rolls back and replays deterministically) stores
 // byte-identical results to a fault-free run of the same request.
 //
-// Slab jobs run under run_campaign_supervised with a per-hash checkpoint
-// chain in the service work directory (checkpointing every 2 steps, so a
-// mid-job fault replays from the newest checkpoint instead of step 0).
-// Any stale chain for the hash is removed first - run_campaign would
-// otherwise resume from a finished run's checkpoint and overshoot the step
-// budget. Pencil jobs run the same CFL-adaptive loop over PencilSolver
-// (ranks factored into the most square pr x pc grid), unsupervised: the
-// checkpoint format is slab-specific today.
+// Every job, slab or pencil, runs under run_campaign_supervised with a
+// per-hash checkpoint chain in the service work directory (checkpointing
+// every 2 steps, so a mid-job fault replays from the newest checkpoint
+// instead of step 0). Pencil jobs factor their ranks into the most square
+// pr x pc grid. Any stale chain for the hash is removed first -
+// run_campaign would otherwise resume from a finished run's checkpoint and
+// overshoot the step budget.
 
 #include <string>
 
@@ -29,7 +28,7 @@ namespace psdns::svc {
 
 struct JobOutcome {
   std::string result_json;       // the stored/served result document
-  int recoveries = 0;            // supervisor rollbacks (slab jobs)
+  int recoveries = 0;            // supervisor rollbacks
   int checkpoints_discarded = 0;
 };
 

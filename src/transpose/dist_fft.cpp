@@ -298,4 +298,57 @@ void PencilFft3d::inverse(std::span<const Complex> spec,
   }
 }
 
+// ------------------------------------------------------------ make_dist_fft
+
+std::unique_ptr<DistFft3d> make_dist_fft(comm::Communicator& comm,
+                                         std::size_t n,
+                                         Decomposition decomposition, int pr,
+                                         int pc) {
+  if (decomposition == Decomposition::Pencil) {
+    return std::make_unique<PencilFft3d>(comm, n, pr, pc);
+  }
+  return std::make_unique<SlabFft3d>(comm, n);
+}
+
+// -------------------------------------------------------------- GlobalModes
+
+GlobalModes::GlobalModes(comm::Communicator& comm, const ModeView& mine)
+    : comm_(comm), n_(mine.n), views_(static_cast<std::size_t>(comm.size())) {
+  comm_.gather(&mine, views_.data(), 1, 0);
+  comm_.broadcast(views_.data(), views_.size(), 0);
+  for (const ModeView& v : views_) counts_.push_back(v.local_modes());
+  if (comm_.rank() == 0) staging_.resize(global_size());
+}
+
+template <class F>
+void GlobalModes::for_each_placement(F&& f) const {
+  const auto storage = [this](int k) {
+    return static_cast<std::size_t>(k < 0 ? k + static_cast<int>(n_) : k);
+  };
+  std::size_t base = 0;
+  for (std::size_t r = 0; r < views_.size(); ++r) {
+    for_each_mode(views_[r], [&](std::size_t idx, int kx, int ky, int kz) {
+      f(static_cast<std::size_t>(kx) +
+            (n_ / 2 + 1) * (storage(ky) + n_ * storage(kz)),
+        base + idx);
+    });
+    base += counts_[r];
+  }
+}
+
+void GlobalModes::gather(const Complex* local, Complex* global) {
+  comm_.gatherv(local, staging_.data(), counts_.data(), 0);
+  if (comm_.rank() != 0) return;
+  for_each_placement(
+      [&](std::size_t g, std::size_t s) { global[g] = staging_[s]; });
+}
+
+void GlobalModes::scatter(const Complex* global, Complex* local) {
+  if (comm_.rank() == 0) {
+    for_each_placement(
+        [&](std::size_t g, std::size_t s) { staging_[s] = global[g]; });
+  }
+  comm_.scatterv(staging_.data(), local, counts_.data(), 0);
+}
+
 }  // namespace psdns::transpose

@@ -6,8 +6,9 @@
 // going physical->spectral; y, z, x coming back (Sec. 3.3) for the slab
 // backend, x, y, z for the pencil baseline.
 //
-// DistFft3d is the decomposition-agnostic face of both backends: a solver
-// written against it (dns::SpectralNSCore) sees only
+// DistFft3d is the decomposition-agnostic face of both backends: the
+// solver (dns::SpectralEngine, which builds its backend with make_dist_fft)
+// sees only
 //   - batched multi-variable forward/inverse transforms,
 //   - the local physical and spectral extents,
 //   - a ModeView/PhysView describing how local storage maps to global
@@ -18,6 +19,7 @@
 // Both backends are unnormalized: inverse(forward(u)) == N^3 * u.
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "transpose/slab.hpp"
 #include "transpose/views.hpp"
 #include "util/arena.hpp"
+#include "util/check.hpp"
 
 namespace psdns::transpose {
 
@@ -51,11 +54,13 @@ class DistFft3d {
   virtual PhysView phys_view() const = 0;
 
   /// Pencil batching of the transposes (Sec. 4.1): np pencils, q pencils
-  /// aggregated per all-to-all. Backends without pencil batching accept
-  /// and ignore the knobs.
-  virtual void set_batching(int np, int q) = 0;
-  virtual int pencils() const = 0;
-  virtual int pencils_per_alltoall() const = 0;
+  /// aggregated per all-to-all. The pencil backend always moves whole
+  /// fields and ignores the knobs.
+  void set_batching(int np, int q) {
+    PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
+    np_ = np;
+    q_ = q;
+  }
 
   /// Physical -> spectral, one or more variables at once (phys[v] and
   /// spec[v] are the v-th variable's local blocks).
@@ -68,6 +73,9 @@ class DistFft3d {
   /// entry points).
   void forward(std::span<const Real> phys, std::span<Complex> spec);
   void inverse(std::span<const Complex> spec, std::span<Real> phys);
+
+ protected:
+  int np_ = 1, q_ = 1;
 };
 
 /// Slab-decomposed transform (the new GPU code's layout).
@@ -96,14 +104,6 @@ class SlabFft3d final : public DistFft3d {
                            static_cast<std::size_t>(comm_.rank()) * my());
   }
 
-  void set_batching(int np, int q) override {
-    PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
-    np_ = np;
-    q_ = q;
-  }
-  int pencils() const override { return np_; }
-  int pencils_per_alltoall() const override { return q_; }
-
   /// Batched entry points using the configured np/q.
   void forward(std::span<const Real* const> phys,
                std::span<Complex* const> spec) override;
@@ -128,7 +128,6 @@ class SlabFft3d final : public DistFft3d {
   SlabTranspose transpose_;
   std::shared_ptr<const fft::PlanR2C> plan_x_;
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
-  int np_ = 1, q_ = 1;
   // Per-variable Y-slab scratch, checked out of the workspace arena.
   std::vector<util::WorkspaceArena::Handle<Complex>> work_;
   // Reused per-call pointer arrays (forward/inverse are hot-loop calls).
@@ -170,16 +169,6 @@ class PencilFft3d final : public DistFft3d {
         static_cast<std::size_t>(transpose_.col_rank()) * grid().zl());
   }
 
-  /// The pencil path always moves whole fields; the knobs are accepted so
-  /// solver code can set them uniformly, and reported back as configured.
-  void set_batching(int np, int q) override {
-    PSDNS_REQUIRE(np >= 1 && q >= 1, "bad pencil grouping");
-    np_ = np;
-    q_ = q;
-  }
-  int pencils() const override { return np_; }
-  int pencils_per_alltoall() const override { return q_; }
-
   /// Batched multi-variable entry points (variables transform one after
   /// the other; the pencil transposes are single-field).
   void forward(std::span<const Real* const> phys,
@@ -195,10 +184,49 @@ class PencilFft3d final : public DistFft3d {
   PencilTranspose transpose_;
   std::shared_ptr<const fft::PlanR2C> plan_x_;
   std::shared_ptr<const fft::PlanC2C> plan_yz_;
-  int np_ = 1, q_ = 1;
   // Intermediate layouts (X- and Y-pencils) and the inverse() Z-pencil
   // scratch, all checked out of the workspace arena.
   util::WorkspaceArena::Handle<Complex> px_, py_, pz_;
+};
+
+/// The backend factory: a SlabFft3d, or a PencilFft3d on the pr x pc
+/// process grid (pr * pc must equal the communicator size; the slab backend
+/// ignores pr and pc). Collective.
+std::unique_ptr<DistFft3d> make_dist_fft(comm::Communicator& comm,
+                                         std::size_t n,
+                                         Decomposition decomposition, int pr,
+                                         int pc);
+
+/// Moves whole spectral fields between the ranks' blocks and one global
+/// array on rank 0, whatever the decomposition: each block is placed by
+/// its ModeView. The global array is g[kx + nxh*(jy + N*jz)], jy and jz
+/// the storage indices of ky and kz; for slabs it is the rank-ordered
+/// concatenation of the Z-slabs. Checkpoints and regridding use it.
+class GlobalModes {
+ public:
+  /// Collective: every rank learns every rank's ModeView.
+  GlobalModes(comm::Communicator& comm, const ModeView& mine);
+
+  /// Elements of one global field: nxh * N * N.
+  std::size_t global_size() const { return (n_ / 2 + 1) * n_ * n_; }
+
+  /// Collective: rank 0's `global` receives every rank's `local` block
+  /// (`global` may be null on other ranks).
+  void gather(const Complex* local, Complex* global);
+  /// Collective: every rank's `local` receives its modes of rank 0's
+  /// `global` (`global` may be null on other ranks).
+  void scatter(const Complex* global, Complex* local);
+
+ private:
+  /// Calls f(global index, staging index) for every mode of every rank.
+  template <class F>
+  void for_each_placement(F&& f) const;
+
+  comm::Communicator& comm_;
+  std::size_t n_;
+  std::vector<ModeView> views_;      // by rank
+  std::vector<std::size_t> counts_;  // local modes by rank
+  std::vector<Complex> staging_;     // rank 0: the blocks in rank order
 };
 
 }  // namespace psdns::transpose

@@ -18,6 +18,15 @@ void PencilGrid::validate() const {
                 "x extent smaller than the row size");
 }
 
+std::pair<int, int> most_square_grid(int ranks) {
+  PSDNS_REQUIRE(ranks >= 1, "rank count must be positive");
+  int pr = 1;
+  for (int r = 1; r * r <= ranks; ++r) {
+    if (ranks % r == 0) pr = r;
+  }
+  return {pr, ranks / pr};
+}
+
 PencilTranspose::PencilTranspose(comm::Communicator& world, PencilGrid grid)
     : grid_(grid),
       // Row communicator: ranks with the same column index (rank / pr).

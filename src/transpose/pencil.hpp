@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -40,6 +41,9 @@ struct PencilGrid {
 
   void validate() const;
 };
+
+/// The most square Pr x Pc factorisation of `ranks`, with Pr <= Pc.
+std::pair<int, int> most_square_grid(int ranks);
 
 class PencilTranspose {
  public:

@@ -13,13 +13,19 @@
 //   indices enumerate either layout through this view and therefore
 //   produce bit-identical fields on every decomposition and rank count.
 //
-// Both views live in the transpose layer (which defines the layouts); the
-// dns layer re-exports them for its spectral operators.
+// Both views and the Decomposition choice live in the transpose layer
+// (which defines the layouts); the dns layer re-exports them.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace psdns::transpose {
+
+/// Which layout pair a distributed FFT backend uses: Y-slab / Z-slab
+/// (SlabFft3d, the paper's new code) or X-pencil / Z-pencil (PencilFft3d,
+/// the CPU baseline). Re-exported as dns::Decomposition and
+/// svc::Decomposition.
+enum class Decomposition { Slab, Pencil };
 
 /// Signed wavenumber of grid index j on an N-point axis: 0..N/2, then
 /// negative frequencies N/2+1..N-1 map to j-N.

@@ -1,6 +1,6 @@
 // Heap-allocation regression tests for the zero-allocation steady state:
 // after a warm-up step has grown every workspace-arena handle, registry
-// key and thread-local scratch buffer, SpectralNSCore::step() must not
+// key and thread-local scratch buffer, SpectralEngine::step() must not
 // touch the heap at all - no operator new/delete on any rank thread, and
 // no workspace-arena misses (the arena allocates through aligned_alloc,
 // which the new/delete overrides below cannot see, so the miss counter is

@@ -337,6 +337,19 @@ TEST(Invariance, PencilBatchingDoesNotChangePhysics) {
   EXPECT_DOUBLE_EQ(run(4, 4), base);
 }
 
+TEST(Solver, EachSolverNameBuildsItsBackend) {
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.pc = 2;
+    SlabSolver slab(comm, cfg);
+    EXPECT_NE(dynamic_cast<transpose::SlabFft3d*>(&slab.fft()), nullptr);
+    PencilSolver pencil(comm, cfg);
+    EXPECT_NE(dynamic_cast<transpose::PencilFft3d*>(&pencil.fft()), nullptr);
+    EXPECT_EQ(pencil.config().decomposition, Decomposition::Pencil);
+  });
+}
+
 TEST(Invariance, PencilSolverMatchesSlabSolver) {
   // The 2-D-decomposed baseline and the slab code must advance the same
   // flow identically (they share the physics, differ in decomposition).
@@ -369,12 +382,11 @@ TEST(Invariance, PencilSolverMatchesSlabSolver) {
     PencilSolver solver(comm, cfg);
     solver.init_from_function(abc_flow);
     for (int s = 0; s < 3; ++s) solver.step(0.01);
-    const double e = solver.kinetic_energy();
-    const double eps = solver.dissipation_rate();
+    const auto d = solver.diagnostics();
     auto spec = solver.spectrum();
     if (comm.rank() == 0) {
-      pen_e = e;
-      pen_eps = eps;
+      pen_e = d.energy;
+      pen_eps = d.dissipation;
       pen_spec = spec;
     }
   });
@@ -388,7 +400,7 @@ TEST(Invariance, PencilSolverMatchesSlabSolver) {
 }
 
 TEST(Invariance, PencilMatchesSlabRk4ForcedScalar) {
-  // Full-featured equivalence through the shared SpectralNSCore: RK4 with
+  // Full-featured equivalence through the shared SpectralEngine: RK4 with
   // integrating factor, band forcing, and a mean-gradient passive scalar,
   // from the decomposition-invariant random initial conditions. The two
   // backends transform in different axis orders (x,z,y vs x,y,z), so
@@ -956,6 +968,41 @@ TEST(Regrid, CarriesScalars) {
     spectral_regrid(a, b);
     EXPECT_NEAR(b.scalar_diagnostics(0).variance,
                 a.scalar_diagnostics(0).variance, 1e-12);
+  });
+}
+
+TEST(Regrid, CarriesMagneticFieldOntoEitherDecomposition) {
+  // MHD has three extra fields; the band-limited upsample must keep all of
+  // them, onto a slab or a pencil destination.
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    SolverConfig small;
+    small.n = 16;
+    small.viscosity = 0.02;
+    small.system = SystemType::Mhd;
+    SolverConfig big = small;
+    big.n = 32;
+    big.pc = 2;
+
+    SlabSolver a(comm, small);
+    a.init_isotropic(3, 3.0, 0.5);
+    a.init_magnetic_isotropic(4, 3.0, 0.25);
+    a.set_uniform_magnetic_field({0.0, 0.0, 0.5});
+    const auto want = a.system_diagnostics();
+
+    SlabSolver b(comm, big);
+    PencilSolver c(comm, big);
+    for (SpectralEngine* dst : {&b, static_cast<SpectralEngine*>(&c)}) {
+      spectral_regrid(a, *dst);
+      const auto got = dst->system_diagnostics();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_NEAR(got[i].value, want[i].value, 1e-12) << want[i].name;
+      }
+      EXPECT_NEAR(dst->diagnostics().energy, a.diagnostics().energy, 1e-12);
+    }
+    EXPECT_EQ(want.front().name, "magnetic_energy");
+    EXPECT_GT(want.front().value, 0.0);
   });
 }
 

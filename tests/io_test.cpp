@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "comm/communicator.hpp"
+#include "dns/pencil_solver.hpp"
 #include "dns/solver.hpp"
 #include "io/checkpoint.hpp"
 #include "io/series.hpp"
@@ -55,6 +58,36 @@ TEST(Checkpoint, RoundTripSameRankCount) {
       }
     }
   });
+}
+
+TEST(Checkpoint, SlabFileIsByteIdenticalAfterPencilRoundTrip) {
+  // The file layout is decomposition-free: a 2-rank slab checkpoint loaded
+  // into a 2 x 2 pencil solver and saved again reproduces every byte.
+  const FileGuard slab_file(temp_path("psdns_ckp_slab2.bin"));
+  const FileGuard pencil_file(temp_path("psdns_ckp_pencil22.bin"));
+  dns::SolverConfig cfg = small_config();
+  cfg.system = dns::SystemType::Mhd;
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    dns::SlabSolver a(comm, cfg);
+    a.init_isotropic(5, 3.0, 0.5);
+    a.init_magnetic_isotropic(6, 3.0, 0.25);
+    for (int s = 0; s < 3; ++s) a.step(0.01);
+    save_checkpoint(slab_file.path, a);
+  });
+  cfg.pr = 2;
+  cfg.pc = 2;
+  comm::run_ranks(4, [&](comm::Communicator& comm) {
+    dns::PencilSolver b(comm, cfg);
+    load_checkpoint(slab_file.path, b);
+    save_checkpoint(pencil_file.path, b);
+  });
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string original = bytes(slab_file.path);
+  EXPECT_FALSE(original.empty());
+  EXPECT_EQ(bytes(pencil_file.path), original);
 }
 
 TEST(Checkpoint, RestartOnDifferentRankCount) {

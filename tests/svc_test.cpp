@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/campaign.hpp"
 #include "net/http.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
@@ -732,11 +733,18 @@ TEST(Scheduler, FaultedJobRecoversAndMatchesCleanResult) {
 }
 
 TEST(Scheduler, UnrecoverableJobIsReportedFailed) {
-  // Pencil jobs run unsupervised, so a single injected fault fails the job
-  // (and must not take the service down with it).
+  // A fault on every replay's first all-to-all exhausts the supervisor's
+  // recovery budget, so the job fails (and must not take the service down
+  // with it).
   ServiceConfig cfg = test_config("failed");
   ResultStore store({cfg.cache_dir, cfg.cache_keep});
-  resilience::ScopedPlan plan("comm.alltoall@3=throw");
+  resilience::FaultPlan faults;
+  for (int call = 3; call <= 3 + driver::SupervisorConfig{}.max_recoveries;
+       ++call) {
+    faults.faults.push_back({resilience::site::comm_alltoall, call,
+                             resilience::FaultKind::Throw});
+  }
+  resilience::ScopedPlan plan(std::move(faults));
   Scheduler sched(cfg, store);
   JobRequest req = small_request(5);
   req.decomposition = Decomposition::Pencil;
@@ -769,6 +777,31 @@ TEST(Runner, SlabAndPencilDecompositionsCacheSeparately) {
   EXPECT_GT(doc.at("diagnostics").at("energy").number, 0.0);
   EXPECT_FALSE(doc.at("spectrum").array.empty());
   fs::remove_all(workdir);
+}
+
+TEST(Runner, FaultedPencilJobRecoversAndMatchesCleanResult) {
+  // Pencil jobs run the same supervised campaign as slab jobs, so the
+  // scheduler drill above holds for them too (16^3 on a 1 x 2 grid).
+  JobRequest drill = small_request(11, "alice");
+  drill.decomposition = Decomposition::Pencil;
+  drill.ranks = 2;
+  drill.steps = 4;
+  const std::string clean_dir = tmp_dir("psdns_drill_pencil_clean");
+  const std::string faulted_dir = tmp_dir("psdns_drill_pencil_faulted");
+  const JobOutcome clean = run_job(drill, clean_dir);
+  JobOutcome faulted;
+  {
+    resilience::ScopedPlan plan("comm.alltoall@5=throw");
+    faulted = run_job(drill, faulted_dir);
+  }
+  EXPECT_EQ(clean.recoveries, 0);
+  EXPECT_EQ(faulted.recoveries, 1);
+  EXPECT_EQ(faulted.result_json, clean.result_json);
+  // The result names the job's checkpoint chain, as slab results do.
+  EXPECT_EQ(obs::json_parse(clean.result_json).at("checkpoint").string,
+            drill.hash() + ".ckpt");
+  fs::remove_all(clean_dir);
+  fs::remove_all(faulted_dir);
 }
 
 // --- HTTP front end ------------------------------------------------------
@@ -1087,6 +1120,24 @@ TEST(HttpHeaders, TooManyHeadersAreRefused) {
   const std::string response = raw_http(server.port(), head);
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
   EXPECT_NE(response.find("too many headers"), std::string::npos);
+}
+
+TEST(HttpHeaders, MalformedContentLengthIsRefusedWith400) {
+  net::HttpServer server({}, [](const net::HttpRequest& req) {
+    return net::HttpResponse::text("handler ran: " + req.body);
+  });
+  // Not a whole decimal number, or past the 1 MiB body cap.
+  for (const char* length : {"abc", "12abc", "1048577"}) {
+    const std::string response = raw_http(
+        server.port(), std::string("POST / HTTP/1.1\r\nContent-Length: ") +
+                           length + "\r\n\r\n");
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << length;
+    EXPECT_EQ(response.find("handler ran"), std::string::npos) << length;
+  }
+  const std::string ok = raw_http(
+      server.port(), "POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
+  EXPECT_NE(ok.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_NE(ok.find("handler ran: hello"), std::string::npos);
 }
 
 // --- client timeout + retry (the hardened http_get) ----------------------

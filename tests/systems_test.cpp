@@ -4,7 +4,7 @@
 //  - construction/validation: system parsing, make_equation_system's
 //    parameter checks, and the typed forcing-band validation;
 //  - regression: the NavierStokes system must reproduce the pre-refactor
-//    SpectralNSCore diagnostics (values pinned from the last commit before
+//    engine diagnostics (values pinned from the last commit before
 //    the engine/system split, same configurations the bitwise digest
 //    harness used);
 //  - physics: each new system is validated against an exact linear-wave
@@ -31,7 +31,7 @@ namespace {
 
 /// Reads one spectral coefficient of field f by global wavenumber,
 /// whichever rank owns it (collective; kx must be in [0, n/2]).
-Complex probe_mode(SpectralNSCore& solver, comm::Communicator& comm,
+Complex probe_mode(SpectralEngine& solver, comm::Communicator& comm,
                    std::size_t f, int kx, int ky, int kz) {
   double re = 0.0, im = 0.0;
   const Complex* a = solver.field(f);
