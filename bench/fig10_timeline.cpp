@@ -1,6 +1,6 @@
 // Regenerates Fig. 10: normalized operation timelines of the 12288^3
 // problem on 1024 nodes (np = 3 pencils per slab) under the different code
-// configurations, rendered as text Gantt lanes per op category.
+// configurations, rendered as text Gantt rows per span kind.
 
 #include <cstdio>
 
@@ -18,7 +18,7 @@ int main() {
   std::printf(
       "Fig. 10: timelines of one RK2 step, 12288^3 on 1024 nodes, 3 pencils\n"
       "per slab. '#' marks wall-clock intervals with at least one op of the\n"
-      "category active.\n\n");
+      "kind active (transfer = H2D, D2H+pack and unpack copies).\n\n");
 
   // A common horizontal scale (the slowest configuration) makes the
   // relative lengths comparable, like the paper's aligned plots.
@@ -54,7 +54,7 @@ int main() {
 
   obs::BenchReport report("fig10_timeline");
   report.meta("description",
-              "per-category busy times of one RK2 step, 12288^3 / 1024 nodes");
+              "per-kind busy times of one RK2 step, 12288^3 / 1024 nodes");
   const char* variant_key[] = {"b_async_pencil", "c_slab", "a_6tasks"};
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::printf("%s  [step: %s]\n", variants[i].title,
@@ -72,13 +72,17 @@ int main() {
     report.metric("compute_busy_seconds." + key, results[i].compute_busy);
   }
 
-  // The same records, interactively: one Chrome trace per variant,
-  // loadable in Perfetto / chrome://tracing (see README "Observability").
+  // The same spans, interactively: one Chrome trace per variant, one
+  // track per lane, loadable in Perfetto / chrome://tracing (see README
+  // "Observability").
   for (std::size_t i = 0; i < results.size(); ++i) {
     const std::string path = obs::bench_output_path(
         std::string("fig10_trace_") + variant_key[i] + ".json");
-    obs::write_text_file(path,
-                         obs::to_chrome_trace(results[i].records));
+    obs::SpanTrace trace;
+    trace.spans = results[i].records;
+    obs::ChromeTraceOptions options;
+    options.thread_names = results[i].lanes;
+    obs::write_text_file(path, obs::to_chrome_trace(trace, options));
     std::printf("wrote %s\n", path.c_str());
   }
   std::printf("wrote %s\n", report.write().c_str());

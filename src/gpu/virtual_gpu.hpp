@@ -23,8 +23,9 @@ struct GpuLinks {
 
 class VirtualGpu {
  public:
+  /// Streams are lanes named "<name>.<stream>" whose spans carry `rank`.
   VirtualGpu(sim::DagRunner& dag, GpuLinks links, const CostModel& costs,
-             std::string name);
+             std::string name, int rank = -1);
 
   /// The two streams of the paper's algorithm (Sec. 3.4): one for compute,
   /// one for all transfers (a single transfer stream keeps host-bus traffic
@@ -64,13 +65,14 @@ class VirtualGpu {
 
  private:
   sim::OpId copy(sim::LaneId stream, std::string label, double total_bytes,
-                 double chunk_bytes, CopyMethod method, sim::OpCategory cat,
+                 double chunk_bytes, CopyMethod method,
                  const std::vector<sim::OpId>& deps);
 
   sim::DagRunner& dag_;
   GpuLinks links_;
   CostModel costs_;
   std::string name_;
+  int rank_;
   sim::LaneId compute_;
   sim::LaneId transfer_;
 };

@@ -70,6 +70,12 @@ std::string trimmed(const std::string& text, std::size_t b, std::size_t e) {
   return text.substr(b, e - b);
 }
 
+/// Server-side budget for reading one request, head and body together.
+/// The server handles connections one at a time, so a peer that connects
+/// and then stalls is dropped after this long instead of holding up every
+/// other client.
+constexpr double kRequestReadDeadlineS = 2.0;
+
 constexpr std::size_t kMaxHeadBytes = 8192;
 constexpr std::size_t kMaxHeaderCount = 100;
 constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 20;
@@ -132,6 +138,20 @@ int remaining_ms(const util::Stopwatch& watch, double timeout_s) {
   const double left = timeout_s - watch.seconds();
   if (left <= 0.0) return 0;
   return static_cast<int>(left * 1e3) + 1;
+}
+
+/// One read() of at most `size` bytes once `fd` is readable within the
+/// request deadline counted from `watch`; <= 0 on EOF, error or timeout.
+ssize_t read_within_deadline(int fd, char* buf, std::size_t size,
+                             const util::Stopwatch& watch) {
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        ::poll(&pfd, 1, remaining_ms(watch, kRequestReadDeadlineS));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return -1;
+    return ::read(fd, buf, size);
+  }
 }
 
 /// Connects to host:port within the timeout budget; returns the fd.
@@ -341,14 +361,16 @@ void HttpServer::serve() {
 
 void HttpServer::handle(int client_fd) {
   // Read the request head; cap the read so a garbage peer cannot grow the
-  // buffer without bound. POST bodies are read up to Content-Length.
+  // buffer without bound. POST bodies are read up to Content-Length. Both
+  // reads share one deadline, so a silent or stalled peer is dropped.
+  const util::Stopwatch watch;
   std::string raw;
   char buf[1024];
   std::size_t head_end = std::string::npos;
   while (raw.size() < kMaxHeadBytes) {
     head_end = raw.find("\r\n\r\n");
     if (head_end != std::string::npos) break;
-    const ssize_t n = ::read(client_fd, buf, sizeof(buf));
+    const ssize_t n = read_within_deadline(client_fd, buf, sizeof(buf), watch);
     if (n <= 0) break;
     raw.append(buf, static_cast<std::size_t>(n));
   }
@@ -399,11 +421,14 @@ void HttpServer::handle(int client_fd) {
   }
   request.body = raw.substr(head_end + 4);
   while (request.body.size() < body_size) {
-    const ssize_t n = ::read(client_fd, buf, sizeof(buf));
-    if (n <= 0) break;
+    const ssize_t n = read_within_deadline(client_fd, buf, sizeof(buf), watch);
+    if (n <= 0) {
+      refuse("request body shorter than Content-Length");
+      return;
+    }
     request.body.append(buf, static_cast<std::size_t>(n));
   }
-  request.body.resize(std::min(request.body.size(), body_size));
+  request.body.resize(body_size);
 
   HttpResponse response;
   try {

@@ -9,7 +9,10 @@
 // user-supplied handler. One request per connection (Connection: close),
 // loopback bind by default - these are control planes, not web servers.
 // The handler runs on the server thread and must therefore not block on
-// work that itself waits for an HTTP response from this server.
+// work that itself waits for an HTTP response from this server. Reading a
+// request (head and body) has a 2 s deadline: a peer that connects and
+// stalls is dropped, and a body shorter than its Content-Length is
+// answered with 400, so one bad client cannot hold the serial loop.
 //
 // Client: blocking GET/POST with a wall-clock timeout covering connect,
 // request write and response read (the seed implementation blocked forever

@@ -18,26 +18,9 @@ constexpr int kBuckets = 4;
 struct Interval {
   double start = 0.0;
   double end = 0.0;
-  int bucket = kOther;
+  SpanKind kind = SpanKind::Other;
+  int rank = -1;
 };
-
-int bucket_of(sim::OpCategory c) {
-  switch (c) {
-    case sim::OpCategory::Compute:
-    case sim::OpCategory::Cpu:
-      return kCompute;
-    case sim::OpCategory::Mpi:
-      return kComm;
-    case sim::OpCategory::H2D:
-    case sim::OpCategory::D2H:
-    case sim::OpCategory::Unpack:
-      return kTransfer;
-    case sim::OpCategory::Wait:
-    case sim::OpCategory::Other:
-      return kOther;
-  }
-  return kOther;
-}
 
 int bucket_of(SpanKind k) {
   switch (k) {
@@ -67,8 +50,8 @@ void sweep(const std::vector<Interval>& intervals, const Visit& visit) {
   events.reserve(intervals.size() * 2);
   for (const auto& iv : intervals) {
     if (!(iv.end > iv.start)) continue;  // also drops NaNs
-    events.push_back({iv.start, iv.bucket, +1});
-    events.push_back({iv.end, iv.bucket, -1});
+    events.push_back({iv.start, bucket_of(iv.kind), +1});
+    events.push_back({iv.end, bucket_of(iv.kind), -1});
   }
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.t < b.t; });
@@ -104,78 +87,33 @@ double overlap_accumulate(const std::vector<Interval>& intervals,
   return std::min(compute_busy, traffic_busy);
 }
 
-OverlapStats overlap_from(
-    const std::map<std::string, std::vector<Interval>>& per_rank) {
-  OverlapStats s;
-  double achievable = 0.0;
-  for (const auto& [rank, intervals] : per_rank) {
-    (void)rank;
-    achievable += overlap_accumulate(intervals, s);
-  }
-  if (achievable > 0.0) s.overlap_efficiency = s.hidden / achievable;
-  return s;
-}
-
-PathAttribution attribute_from(const std::vector<Interval>& intervals) {
-  PathAttribution a;
-  sweep(intervals, [&](double len, const int* active) {
-    a.total += len;
-    if (active[kCompute] > 0) {
-      a.compute += len;
-    } else if (active[kComm] > 0) {
-      a.comm += len;
-    } else if (active[kTransfer] > 0) {
-      a.transfer += len;
-    } else if (active[kOther] > 0) {
-      a.other += len;
-    } else {
-      a.idle += len;
-    }
-  });
-  return a;
-}
-
-std::vector<Interval> to_intervals(const std::vector<sim::OpRecord>& records) {
-  std::vector<Interval> out;
-  out.reserve(records.size());
-  for (const auto& r : records) {
-    out.push_back({r.start, r.finish, bucket_of(r.category)});
-  }
-  return out;
-}
-
-/// Rank key of a simulated lane: the prefix before the first '.' (lanes are
-/// named "r<k>.g<j>", "r<k>.mpi", ...); the whole name when there is none.
-std::map<std::string, std::vector<Interval>> group_by_rank(
-    const std::vector<sim::OpRecord>& records) {
-  std::map<std::string, std::vector<Interval>> groups;
-  for (const auto& r : records) {
-    const auto dot = r.lane.find('.');
-    groups[r.lane.substr(0, dot)].push_back(
-        {r.start, r.finish, bucket_of(r.category)});
-  }
-  return groups;
-}
-
-/// Leaf spans only: enclosing phase spans would double-count their
-/// children in any busy-time union.
-std::vector<SpanRecord> leaf_spans(const SpanTrace& trace) {
+/// Ids some span names as its parent: the enclosing phase spans, which
+/// would double-count their children in any busy-time union.
+std::unordered_set<SpanId> parent_ids(const std::vector<SpanRecord>& spans) {
   std::unordered_set<SpanId> parents;
-  for (const auto& s : trace.spans) {
+  for (const auto& s : spans) {
     if (s.parent != 0) parents.insert(s.parent);
   }
+  return parents;
+}
+
+std::vector<SpanRecord> leaf_spans(const std::vector<SpanRecord>& spans) {
+  const auto parents = parent_ids(spans);
   std::vector<SpanRecord> out;
-  for (const auto& s : trace.spans) {
+  for (const auto& s : spans) {
     if (parents.count(s.id) == 0) out.push_back(s);
   }
   return out;
 }
 
-std::vector<Interval> to_intervals(const std::vector<SpanRecord>& spans) {
+std::vector<Interval> leaf_intervals(const std::vector<SpanRecord>& spans) {
+  const auto parents = parent_ids(spans);
   std::vector<Interval> out;
   out.reserve(spans.size());
   for (const auto& s : spans) {
-    out.push_back({s.start_s, s.end_s, bucket_of(s.kind)});
+    if (parents.count(s.id) == 0) {
+      out.push_back({s.start_s, s.end_s, s.kind, s.rank});
+    }
   }
   return out;
 }
@@ -204,31 +142,72 @@ void add_chain_span(PathAttribution& a, const SpanRecord& s, double& cursor) {
 
 }  // namespace
 
-OverlapStats overlap_stats(const std::vector<sim::OpRecord>& records) {
-  return overlap_from(group_by_rank(records));
-}
-
-PathAttribution attribute_wall_time(
-    const std::vector<sim::OpRecord>& records) {
-  return attribute_from(to_intervals(records));
-}
-
-OverlapStats overlap_stats(const SpanTrace& trace) {
-  std::map<std::string, std::vector<Interval>> per_rank;
-  for (const auto& s : leaf_spans(trace)) {
-    per_rank[std::to_string(s.rank)].push_back(
-        {s.start_s, s.end_s, bucket_of(s.kind)});
+OverlapStats overlap_stats(const std::vector<SpanRecord>& spans) {
+  std::map<int, std::vector<Interval>> per_rank;
+  for (const auto& iv : leaf_intervals(spans)) per_rank[iv.rank].push_back(iv);
+  OverlapStats s;
+  double achievable = 0.0;
+  for (const auto& [rank, intervals] : per_rank) {
+    (void)rank;
+    achievable += overlap_accumulate(intervals, s);
   }
-  return overlap_from(per_rank);
+  if (achievable > 0.0) s.overlap_efficiency = s.hidden / achievable;
+  return s;
 }
 
-PathAttribution attribute_wall_time(const SpanTrace& trace) {
-  return attribute_from(to_intervals(leaf_spans(trace)));
+PathAttribution attribute_wall_time(const std::vector<SpanRecord>& spans) {
+  PathAttribution a;
+  sweep(leaf_intervals(spans), [&](double len, const int* active) {
+    a.total += len;
+    if (active[kCompute] > 0) {
+      a.compute += len;
+    } else if (active[kComm] > 0) {
+      a.comm += len;
+    } else if (active[kTransfer] > 0) {
+      a.transfer += len;
+    } else if (active[kOther] > 0) {
+      a.other += len;
+    } else {
+      a.idle += len;
+    }
+  });
+  return a;
+}
+
+double busy_time(const std::vector<SpanRecord>& spans, SpanKind kind) {
+  // Zero-length spans contribute no busy time; dropping them here also
+  // keeps them from seeding a bogus merge interval.
+  std::vector<std::pair<double, double>> intervals;
+  for (const auto& iv : leaf_intervals(spans)) {
+    if (iv.kind == kind && iv.end > iv.start) {
+      intervals.emplace_back(iv.start, iv.end);
+    }
+  }
+  if (intervals.empty()) return 0.0;
+  std::sort(intervals.begin(), intervals.end());
+  // Sweep the sorted intervals, merging overlapping AND back-to-back
+  // touching ones (s == cur_end) so shared endpoints are not
+  // double-counted. No sentinel start value: the first interval seeds the
+  // merge, so spans at negative times are handled like any other.
+  double busy = 0.0;
+  double cur_start = intervals.front().first;
+  double cur_end = intervals.front().second;
+  for (const auto& [start, end] : intervals) {
+    if (start > cur_end) {
+      busy += cur_end - cur_start;
+      cur_start = start;
+      cur_end = end;
+    } else {
+      cur_end = std::max(cur_end, end);
+    }
+  }
+  busy += cur_end - cur_start;
+  return busy;
 }
 
 CriticalPath critical_path(const SpanTrace& trace) {
   CriticalPath result;
-  std::vector<SpanRecord> leaves = leaf_spans(trace);
+  std::vector<SpanRecord> leaves = leaf_spans(trace.spans);
   if (leaves.empty()) return result;
 
   // Topological order: by (end, id). Lane edges always point forward in

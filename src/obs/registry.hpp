@@ -1,9 +1,8 @@
 #pragma once
 // Process-wide metrics registry: counters, gauges and fixed-bucket
-// histograms with percentile summaries, plus RAII scoped timers. Timers
-// feed the registry and, when span capture is on, the buffer the Chrome
-// trace exporter turns into one track per thread. Thread-safe; the
-// hot-path cost is one mutex acquisition plus a map lookup, which the
+// histograms with percentile summaries, plus RAII scoped timers that feed
+// the registry (spans for a trace come from obs/span.hpp). Thread-safe;
+// the hot-path cost is one mutex acquisition plus a map lookup, which the
 // laptop-scale functional paths that carry instrumentation can afford.
 
 #include <cstdint>
@@ -99,23 +98,8 @@ Registry& registry();
 /// tag log lines and trace spans; stable for the thread's lifetime.
 int thread_index();
 
-// --- span capture (tracing of functional runs) ---
-
-struct Span {
-  std::string name;
-  int thread = 0;     // thread_index() of the emitting thread
-  double start_s = 0.0;  // seconds since capture was enabled
-  double dur_s = 0.0;
-};
-
-/// Enabling clears previously captured spans and restarts the time origin.
-void enable_span_capture(bool on);
-bool span_capture_enabled();
-std::vector<Span> captured_spans();
-void clear_spans();
-
 /// Records elapsed wall time into registry histogram `name` on destruction
-/// (or stop()), and appends a Span when span capture is enabled.
+/// (or stop()).
 /// The name is held by reference (no copy, no allocation): it must outlive
 /// the timer, which every instrumentation site satisfies by passing a
 /// string literal.

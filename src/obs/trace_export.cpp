@@ -66,89 +66,9 @@ void append_flow_event(std::ostringstream& os, const ChromeTraceOptions& opt,
 
 }  // namespace
 
-const char* chrome_color(sim::OpCategory category) {
+const char* chrome_color(SpanKind kind) {
   // Stable chrome://tracing palette names, matching the paper's Fig.-4
   // scheme: transfers blue, compute green, network red.
-  switch (category) {
-    case sim::OpCategory::H2D:
-      return "thread_state_iowait";  // blue
-    case sim::OpCategory::D2H:
-      return "thread_state_sleeping";  // light blue-grey
-    case sim::OpCategory::Compute:
-      return "thread_state_running";  // green
-    case sim::OpCategory::Unpack:
-      return "thread_state_runnable";  // teal
-    case sim::OpCategory::Mpi:
-      return "terrible";  // red
-    case sim::OpCategory::Cpu:
-      return "good";  // dark green
-    case sim::OpCategory::Wait:
-      return "grey";
-    case sim::OpCategory::Other:
-      return "generic_work";
-  }
-  return "generic_work";
-}
-
-std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
-                            const ChromeTraceOptions& options) {
-  // Lane -> tid in order of first appearance, so related streams of one
-  // rank stay adjacent in the viewer.
-  std::map<std::string, int> lane_tid;
-  std::vector<const std::string*> lane_order;
-  for (const auto& r : records) {
-    if (lane_tid.emplace(r.lane, static_cast<int>(lane_tid.size())).second) {
-      lane_order.push_back(&r.lane);
-    }
-  }
-
-  std::ostringstream os;
-  os << "[\n";
-  bool first = true;
-  append_metadata(os, options.pid, "process_name", 0, options.process_name,
-                  first);
-  for (const std::string* lane : lane_order) {
-    append_metadata(os, options.pid, "thread_name", lane_tid[*lane], *lane,
-                    first);
-  }
-  for (const auto& r : records) {
-    append_complete_event(os, options, r.label, sim::to_string(r.category),
-                          chrome_color(r.category), options.pid,
-                          lane_tid[r.lane], r.start, r.duration(), first);
-  }
-  os << "\n]\n";
-  return os.str();
-}
-
-std::string spans_to_chrome_trace(const std::vector<Span>& spans,
-                                  const ChromeTraceOptions& options) {
-  std::map<int, int> thread_tid;
-  std::vector<int> thread_order;
-  for (const auto& s : spans) {
-    if (thread_tid.emplace(s.thread, static_cast<int>(thread_tid.size()))
-            .second) {
-      thread_order.push_back(s.thread);
-    }
-  }
-
-  std::ostringstream os;
-  os << "[\n";
-  bool first = true;
-  append_metadata(os, options.pid, "process_name", 0, options.process_name,
-                  first);
-  for (const int thread : thread_order) {
-    append_metadata(os, options.pid, "thread_name", thread_tid[thread],
-                    "thread " + std::to_string(thread), first);
-  }
-  for (const auto& s : spans) {
-    append_complete_event(os, options, s.name, "timer", nullptr, options.pid,
-                          thread_tid[s.thread], s.start_s, s.dur_s, first);
-  }
-  os << "\n]\n";
-  return os.str();
-}
-
-const char* chrome_color(SpanKind kind) {
   switch (kind) {
     case SpanKind::Compute:
       return "thread_state_running";  // green
@@ -191,8 +111,12 @@ std::string to_chrome_trace(const SpanTrace& trace,
                   : options.process_name;
     append_metadata(os, pid_of(rank), "process_name", 0, pname, first);
     for (const int tid : threads) {
+      const auto k = static_cast<std::size_t>(tid);
       append_metadata(os, pid_of(rank), "thread_name", tid,
-                      "thread " + std::to_string(tid), first);
+                      tid >= 0 && k < options.thread_names.size()
+                          ? options.thread_names[k]
+                          : "thread " + std::to_string(tid),
+                      first);
     }
   }
   for (const auto& s : trace.spans) {

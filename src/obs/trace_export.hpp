@@ -1,19 +1,17 @@
 #pragma once
-// Chrome trace-event export: converts simulated sim::OpRecord traces and
-// captured scoped-timer spans into the JSON array form of the Trace Event
-// Format, loadable by Perfetto (ui.perfetto.dev) and chrome://tracing -
-// the paper's Fig.-10 timeline view, but interactive. Every op becomes a
-// complete event (ph "X") with microsecond timestamps; each DAG lane (or
-// capture thread) becomes one named track; op categories map to stable
-// Chrome color names so the transfer/compute/network streams render in
-// the paper's blue/green/red scheme.
+// Chrome trace-event export: converts span traces - of real runs, or of
+// the co-simulator's DAG runner - into the JSON array form of the Trace
+// Event Format, loadable by Perfetto (ui.perfetto.dev) and chrome://tracing
+// - the paper's Fig.-10 timeline view, but interactive. Every span becomes
+// a complete event (ph "X") with microsecond timestamps; each thread (or
+// DAG lane) becomes one named track; span kinds map to stable Chrome color
+// names so the transfer/compute/network streams render in the paper's
+// blue/green/red scheme.
 
 #include <string>
 #include <vector>
 
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "sim/trace.hpp"
 
 namespace psdns::obs {
 
@@ -21,23 +19,16 @@ struct ChromeTraceOptions {
   int pid = 1;
   double seconds_to_us = 1e6;  // sim/wall seconds -> trace microseconds
   std::string process_name = "psdns";
+  /// Track name of thread k (a simulated trace's lane names); threads
+  /// past its end are named "thread <k>".
+  std::vector<std::string> thread_names;
 };
 
-/// Chrome color-name for an op category (the `cname` event field).
-const char* chrome_color(sim::OpCategory category);
-
-/// Chrome color-name for a causal-span kind (same Fig.-4 scheme).
+/// Chrome color-name for a span kind (the `cname` event field; Fig.-4
+/// scheme).
 const char* chrome_color(SpanKind kind);
 
-/// One track per distinct OpRecord::lane, in order of first appearance.
-std::string to_chrome_trace(const std::vector<sim::OpRecord>& records,
-                            const ChromeTraceOptions& options = {});
-
-/// One track per capturing thread (spans from obs::captured_spans()).
-std::string spans_to_chrome_trace(const std::vector<Span>& spans,
-                                  const ChromeTraceOptions& options = {});
-
-/// Causal span trace -> Chrome trace. Ranks map to processes (pid =
+/// Span trace -> Chrome trace. Ranks map to processes (pid =
 /// options.pid + rank + 1, untagged spans to options.pid) and threads to
 /// tids, so every SPMD rank renders as its own named track group; each
 /// flow edge becomes a Chrome flow-event pair (ph "s" at the source

@@ -7,7 +7,7 @@
 
 #include "gpu/cost_model.hpp"
 #include "model/geometry.hpp"
-#include "sim/trace.hpp"
+#include "obs/span.hpp"
 
 namespace psdns::pipeline {
 
@@ -63,11 +63,12 @@ struct PipelineConfig {
 struct StepResult {
   double seconds = 0.0;                  // elapsed wall time of the step
   double mpi_busy = 0.0;                 // wall time with >= 1 A2A active
-  double transfer_busy = 0.0;            // wall time with H2D/D2H active
+  double transfer_busy = 0.0;            // wall time with >= 1 copy active
   double compute_busy = 0.0;             // wall time with kernels active
   double overlap_efficiency = 0.0;       // hidden traffic / total traffic
                                          // busy time (obs::overlap_stats)
-  std::vector<sim::OpRecord> records;    // full trace (Fig. 10 lanes)
+  std::vector<obs::SpanRecord> records;  // one span per op (Fig. 10 lanes)
+  std::vector<std::string> lanes;        // lane name of span thread k
 };
 
 }  // namespace psdns::pipeline

@@ -110,13 +110,14 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
           "nvlink_r" + std::to_string(r) + "g" + std::to_string(g),
           costs.nvlink_bw_per_gpu());
       ctx.gpus.emplace_back(dag, gpu::GpuLinks{nvl, bus}, costs,
-                            "r" + std::to_string(r) + ".g" + std::to_string(g));
+                            "r" + std::to_string(r) + ".g" + std::to_string(g),
+                            r);
       // The zero-copy unpack runs concurrently with compute on its own
       // stream (it only needs a handful of SMs).
       unpack_stream[static_cast<std::size_t>(r)].push_back(
           ctx.gpus.back().create_stream("unpack"));
     }
-    ctx.mpi = dag.add_lane("r" + std::to_string(r) + ".mpi");
+    ctx.mpi = dag.add_lane("r" + std::to_string(r) + ".mpi", r);
   }
 
   // ---- per-rank sizes ----
@@ -242,7 +243,7 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
       group_op[static_cast<std::size_t>(gi)] = dag.add_flow_op(
           std::string(tag) + ".a2a g" + std::to_string(gi),
           cfg.async ? ctx.mpi : ctx.gpus.front().compute_stream(),
-          sim::OpCategory::Mpi, bytes, mpi_path, rate, deps, latency,
+          obs::SpanKind::Comm, bytes, mpi_path, rate, deps, latency,
           kMpiClass, chi);
     }
 
@@ -326,13 +327,12 @@ StepResult DnsStepModel::simulate_gpu_step(const PipelineConfig& cfg) const {
 
   StepResult result;
   result.seconds = dag.run();
-  result.records = dag.records();
-  result.mpi_busy = sim::busy_time(result.records, sim::OpCategory::Mpi);
-  result.compute_busy =
-      sim::busy_time(result.records, sim::OpCategory::Compute);
+  result.records = dag.spans();
+  result.lanes = dag.lanes();
+  result.mpi_busy = obs::busy_time(result.records, obs::SpanKind::Comm);
+  result.compute_busy = obs::busy_time(result.records, obs::SpanKind::Compute);
   result.transfer_busy =
-      sim::busy_time(result.records, sim::OpCategory::H2D) +
-      sim::busy_time(result.records, sim::OpCategory::D2H);
+      obs::busy_time(result.records, obs::SpanKind::Transfer);
   const obs::OverlapStats overlap = obs::overlap_stats(result.records);
   result.overlap_efficiency = overlap.overlap_efficiency;
   const obs::PathAttribution attrib =

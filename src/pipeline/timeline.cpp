@@ -3,26 +3,36 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
+#include "obs/critical_path.hpp"
 #include "util/format.hpp"
 
 namespace psdns::pipeline {
 
 namespace {
 
-using sim::OpCategory;
-using sim::OpRecord;
+using obs::SpanKind;
+using obs::SpanRecord;
 
-std::string paint_row(const std::vector<const OpRecord*>& ops, double t_end,
-                      int columns) {
+/// The rows of the default view, top to bottom.
+constexpr std::pair<SpanKind, const char*> kKindRows[] = {
+    {SpanKind::Comm, "MPI"},
+    {SpanKind::Transfer, "transfer"},
+    {SpanKind::Compute, "compute"},
+};
+
+std::string paint_row(const std::vector<const SpanRecord*>& ops,
+                      double t_end, int columns) {
   std::string row(static_cast<std::size_t>(columns), '.');
-  for (const OpRecord* op : ops) {
-    if (op->finish <= op->start) continue;
+  for (const SpanRecord* op : ops) {
+    if (op->end_s <= op->start_s) continue;
     // Clip to [0, t_end]: ops entirely outside the window paint nothing
     // (instead of smearing into the first/last column).
-    if (op->start >= t_end || op->finish <= 0.0) continue;
-    const double start = std::max(op->start, 0.0);
-    const double finish = std::min(op->finish, t_end);
+    if (op->start_s >= t_end || op->end_s <= 0.0) continue;
+    const double start = std::max(op->start_s, 0.0);
+    const double finish = std::min(op->end_s, t_end);
     const int c0 = std::clamp(
         static_cast<int>(start / t_end * columns), 0, columns - 1);
     const int c1 = std::clamp(
@@ -34,17 +44,20 @@ std::string paint_row(const std::vector<const OpRecord*>& ops, double t_end,
 
 }  // namespace
 
-std::string render_timeline(const std::vector<OpRecord>& records,
+std::string render_timeline(const std::vector<SpanRecord>& spans,
                             double t_end, const TimelineOptions& options) {
   if (t_end <= 0.0) {
-    for (const auto& r : records) t_end = std::max(t_end, r.finish);
+    for (const auto& s : spans) t_end = std::max(t_end, s.end_s);
   }
   if (t_end <= 0.0) return "(empty timeline)\n";
 
   std::ostringstream os;
-  if (options.show_lane_per_stream) {
-    std::map<std::string, std::vector<const OpRecord*>> lanes;
-    for (const auto& r : records) lanes[r.lane].push_back(&r);
+  if (!options.lanes.empty()) {
+    std::map<std::string, std::vector<const SpanRecord*>> lanes;
+    for (const auto& s : spans) {
+      lanes[options.lanes.at(static_cast<std::size_t>(s.thread))].push_back(
+          &s);
+    }
     std::size_t width = 0;
     for (const auto& [name, ops] : lanes) width = std::max(width, name.size());
     for (const auto& [name, ops] : lanes) {
@@ -52,18 +65,13 @@ std::string render_timeline(const std::vector<OpRecord>& records,
          << paint_row(ops, t_end, options.columns) << "|\n";
     }
   } else {
-    const std::pair<OpCategory, const char*> rows[] = {
-        {OpCategory::Mpi, "MPI      "},
-        {OpCategory::H2D, "H2D      "},
-        {OpCategory::D2H, "D2H+pack "},
-        {OpCategory::Compute, "compute  "},
-    };
-    for (const auto& [cat, label] : rows) {
-      std::vector<const OpRecord*> ops;
-      for (const auto& r : records) {
-        if (r.category == cat) ops.push_back(&r);
+    for (const auto& [kind, label] : kKindRows) {
+      std::vector<const SpanRecord*> ops;
+      for (const auto& s : spans) {
+        if (s.kind == kind) ops.push_back(&s);
       }
-      os << label << "|" << paint_row(ops, t_end, options.columns) << "|\n";
+      os << label << std::string(9 - std::string_view(label).size(), ' ')
+         << "|" << paint_row(ops, t_end, options.columns) << "|\n";
     }
   }
   os << "          0" << std::string(static_cast<std::size_t>(
@@ -73,17 +81,11 @@ std::string render_timeline(const std::vector<OpRecord>& records,
   return os.str();
 }
 
-std::string summarize_busy(const std::vector<OpRecord>& records,
+std::string summarize_busy(const std::vector<SpanRecord>& spans,
                            double t_end) {
   std::ostringstream os;
-  const std::pair<OpCategory, const char*> cats[] = {
-      {OpCategory::Mpi, "MPI"},
-      {OpCategory::H2D, "H2D"},
-      {OpCategory::D2H, "D2H"},
-      {OpCategory::Compute, "compute"},
-  };
-  for (const auto& [cat, label] : cats) {
-    const double busy = sim::busy_time(records, cat);
+  for (const auto& [kind, label] : kKindRows) {
+    const double busy = obs::busy_time(spans, kind);
     os << label << ": " << util::format_time(busy) << " ("
        << util::format_fixed(100.0 * busy / t_end, 1) << "%)  ";
   }

@@ -4,13 +4,14 @@
 
 namespace psdns::sim {
 
-LaneId DagRunner::add_lane(std::string name) {
+LaneId DagRunner::add_lane(std::string name, int rank) {
   lane_names_.push_back(std::move(name));
+  lane_ranks_.push_back(rank);
   lane_tail_.push_back(OpId{});
   return lane_names_.size() - 1;
 }
 
-OpId DagRunner::add_op(std::string label, LaneId lane, OpCategory category,
+OpId DagRunner::add_op(std::string label, LaneId lane, obs::SpanKind kind,
                        double duration, const std::vector<OpId>& deps,
                        double overhead) {
   PSDNS_REQUIRE(!ran_, "cannot add ops after run()");
@@ -18,10 +19,11 @@ OpId DagRunner::add_op(std::string label, LaneId lane, OpCategory category,
   PSDNS_REQUIRE(duration >= 0.0, "negative duration");
 
   Op op;
-  op.record.label = std::move(label);
-  op.record.lane = lane_names_[lane];
-  op.record.category = category;
-  op.lane = lane;
+  op.span.id = ops_.size() + 1;
+  op.span.name = std::move(label);
+  op.span.kind = kind;
+  op.span.thread = static_cast<int>(lane);
+  op.span.rank = lane_ranks_[lane];
   op.duration = duration;
   op.overhead = overhead;
 
@@ -39,11 +41,11 @@ OpId DagRunner::add_op(std::string label, LaneId lane, OpCategory category,
 }
 
 OpId DagRunner::add_flow_op(std::string label, LaneId lane,
-                            OpCategory category, double bytes,
+                            obs::SpanKind kind, double bytes,
                             const std::vector<LinkId>& path, double rate_cap,
                             const std::vector<OpId>& deps, double overhead,
                             int flow_class, double interference_factor) {
-  const OpId id = add_op(std::move(label), lane, category, 0.0, deps, overhead);
+  const OpId id = add_op(std::move(label), lane, kind, 0.0, deps, overhead);
   Op& op = ops_[id.index];
   PSDNS_REQUIRE(bytes >= 0.0, "negative flow size");
   op.bytes = bytes;
@@ -71,8 +73,8 @@ SimTime DagRunner::run() {
 
   SimTime makespan = 0.0;
   for (const Op& op : ops_) {
-    PSDNS_CHECK(op.finished, "DAG deadlock: op never ran: " + op.record.label);
-    makespan = std::max(makespan, op.record.finish);
+    PSDNS_CHECK(op.finished, "DAG deadlock: op never ran: " + op.span.name);
+    makespan = std::max(makespan, op.span.end_s);
   }
   return makespan;
 }
@@ -82,7 +84,7 @@ void DagRunner::try_start(std::size_t index) {
   PSDNS_CHECK(!op.started, "op started twice");
   op.started = true;
   const SimTime issue = engine_.now();
-  op.record.start = issue;
+  op.span.start_s = issue;
 
   if (op.bytes >= 0.0) {
     // Flow op: overhead elapses serially, then the flow drains.
@@ -103,7 +105,7 @@ void DagRunner::on_finished(std::size_t index) {
   Op& op = ops_[index];
   PSDNS_CHECK(!op.finished, "op finished twice");
   op.finished = true;
-  op.record.finish = engine_.now();
+  op.span.end_s = engine_.now();
   --unfinished_;
   for (const std::size_t dep : op.dependents) {
     Op& d = ops_[dep];
@@ -112,10 +114,10 @@ void DagRunner::on_finished(std::size_t index) {
   }
 }
 
-const std::vector<OpRecord> DagRunner::records() const {
-  std::vector<OpRecord> out;
+std::vector<obs::SpanRecord> DagRunner::spans() const {
+  std::vector<obs::SpanRecord> out;
   out.reserve(ops_.size());
-  for (const Op& op : ops_) out.push_back(op.record);
+  for (const Op& op : ops_) out.push_back(op.span);
   return out;
 }
 

@@ -8,14 +8,18 @@
 //   - fixed ops: a precomputed duration (e.g. an FFT kernel),
 //   - flow ops: a byte count moved through the FlowNetwork (e.g. an NVLink
 //     copy or an all-to-all), whose duration emerges from bandwidth sharing.
+//
+// The trace is the one real runs produce: every op becomes an obs span on
+// the sim clock, so the same overlap, attribution and Chrome-export code
+// (obs/critical_path.hpp, obs/trace_export.hpp) serves both.
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow_network.hpp"
-#include "sim/trace.hpp"
 
 namespace psdns::sim {
 
@@ -31,17 +35,19 @@ class DagRunner {
   DagRunner(Engine& engine, FlowNetwork& network)
       : engine_(engine), network_(network) {}
 
-  LaneId add_lane(std::string name);
+  /// A new lane; its ops' spans carry `rank` (-1 = untagged), which is
+  /// what per-rank overlap analysis groups by.
+  LaneId add_lane(std::string name, int rank = -1);
 
   /// Fixed-duration op. `overhead` is serial launch overhead charged on the
   /// lane before the op body (models API call / kernel launch latency).
-  OpId add_op(std::string label, LaneId lane, OpCategory category,
+  OpId add_op(std::string label, LaneId lane, obs::SpanKind kind,
               double duration, const std::vector<OpId>& deps,
               double overhead = 0.0);
 
   /// Bandwidth-shaped op: moves `bytes` through `path` at a max-min fair
   /// rate capped at `rate_cap`. The lane is blocked for the flow duration.
-  OpId add_flow_op(std::string label, LaneId lane, OpCategory category,
+  OpId add_flow_op(std::string label, LaneId lane, obs::SpanKind kind,
                    double bytes, const std::vector<LinkId>& path,
                    double rate_cap, const std::vector<OpId>& deps,
                    double overhead = 0.0, int flow_class = 0,
@@ -51,18 +57,19 @@ class DagRunner {
   /// the last op). Can only be called once.
   SimTime run();
 
-  SimTime start_time(OpId id) const { return ops_.at(id.index).record.start; }
-  SimTime finish_time(OpId id) const {
-    return ops_.at(id.index).record.finish;
-  }
+  SimTime start_time(OpId id) const { return ops_.at(id.index).span.start_s; }
+  SimTime finish_time(OpId id) const { return ops_.at(id.index).span.end_s; }
 
-  /// Trace of all executed ops, in issue order.
-  const std::vector<OpRecord> records() const;
+  /// One span per op, in issue order: id = op index + 1, thread = lane
+  /// index, rank = the lane's rank, times on the sim clock.
+  std::vector<obs::SpanRecord> spans() const;
+
+  /// Lane names, indexed by LaneId (= a span's thread).
+  const std::vector<std::string>& lanes() const { return lane_names_; }
 
  private:
   struct Op {
-    OpRecord record;
-    LaneId lane;
+    obs::SpanRecord span;
     double duration = 0.0;  // fixed ops
     double bytes = -1.0;    // >= 0 marks a flow op
     std::vector<LinkId> path;
@@ -84,6 +91,7 @@ class DagRunner {
   FlowNetwork& network_;
   std::vector<Op> ops_;
   std::vector<std::string> lane_names_;
+  std::vector<int> lane_ranks_;
   std::vector<OpId> lane_tail_;  // last op issued to each lane
   std::size_t unfinished_ = 0;
   bool ran_ = false;

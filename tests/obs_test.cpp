@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -235,35 +236,6 @@ TEST(Registry, ScopedTimerRecordsIntoHistogram) {
   EXPECT_GE(s.sum, 0.0);
 }
 
-TEST(Registry, SpanCaptureCollectsTimerSpans) {
-  enable_span_capture(true);
-  {
-    ScopedTimer t("traced.work");
-  }
-  {
-    ScopedTimer t("traced.more");
-  }
-  enable_span_capture(false);
-  const auto spans = captured_spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "traced.work");
-  EXPECT_EQ(spans[1].name, "traced.more");
-  EXPECT_GE(spans[0].dur_s, 0.0);
-  EXPECT_LE(spans[0].start_s, spans[1].start_s);
-
-  // Spans convert to a parseable Chrome trace with per-thread tracks.
-  const auto v = json_parse(spans_to_chrome_trace(spans));
-  ASSERT_TRUE(v.is_array());
-  std::size_t complete = 0;
-  for (const auto& e : v.array) {
-    if (e.at("ph").string == "X") ++complete;
-  }
-  EXPECT_EQ(complete, 2u);
-
-  clear_spans();
-  EXPECT_TRUE(captured_spans().empty());
-}
-
 TEST(Registry, ThreadIndexIsDenseAndStable) {
   const int self = thread_index();
   EXPECT_GE(self, 0);
@@ -353,13 +325,29 @@ TEST(Log, EnabledRespectsThreshold) {
 
 // --- Chrome trace export ---
 
-TEST(TraceExport, OpRecordsBecomeValidChromeTrace) {
-  std::vector<sim::OpRecord> recs(3);
-  recs[0] = {"a2a pencil 0", "rank0.mpi", sim::OpCategory::Mpi, 0.0, 1.5};
-  recs[1] = {"fft \"quoted\"", "rank0.compute", sim::OpCategory::Compute,
-             0.5, 2.0};
-  recs[2] = {"h2d", "rank0.transfer", sim::OpCategory::H2D, 2.0, 2.25};
-  const std::string text = to_chrome_trace(recs);
+namespace {
+SpanRecord span_rec(SpanId id, const std::string& name, SpanKind kind,
+                    int thread, int rank, double start, double end) {
+  SpanRecord s;
+  s.id = id;
+  s.name = name;
+  s.kind = kind;
+  s.thread = thread;
+  s.rank = rank;
+  s.start_s = start;
+  s.end_s = end;
+  return s;
+}
+}  // namespace
+
+TEST(TraceExport, DesSpansBecomeValidChromeTrace) {
+  SpanTrace trace;
+  trace.spans = {
+      span_rec(1, "a2a pencil 0", SpanKind::Comm, 0, 0, 0.0, 1.5),
+      span_rec(2, "fft \"quoted\"", SpanKind::Compute, 1, 0, 0.5, 2.0),
+      span_rec(3, "h2d", SpanKind::Transfer, 2, 0, 2.0, 2.25),
+  };
+  const std::string text = to_chrome_trace(trace);
 
   const auto v = json_parse(text);
   ASSERT_TRUE(v.is_array());
@@ -383,20 +371,30 @@ TEST(TraceExport, OpRecordsBecomeValidChromeTrace) {
       saw_quoted = true;
       EXPECT_DOUBLE_EQ(e.at("ts").number, 0.5e6);
       EXPECT_DOUBLE_EQ(e.at("dur").number, 1.5e6);
+      EXPECT_EQ(e.at("cat").string, "compute");
     }
   }
-  EXPECT_EQ(complete, recs.size());
+  EXPECT_EQ(complete, trace.spans.size());
   EXPECT_TRUE(saw_quoted);
 }
 
 TEST(TraceExport, OneTrackPerLane) {
-  std::vector<sim::OpRecord> recs(3);
-  recs[0] = {"a", "lane.x", sim::OpCategory::Mpi, 0.0, 1.0};
-  recs[1] = {"b", "lane.y", sim::OpCategory::Compute, 0.0, 1.0};
-  recs[2] = {"c", "lane.x", sim::OpCategory::Mpi, 1.0, 2.0};
-  const auto v = json_parse(to_chrome_trace(recs));
+  // Spans of one thread share a track, named from the lane table.
+  SpanTrace trace;
+  trace.spans = {
+      span_rec(1, "a", SpanKind::Comm, 0, 0, 0.0, 1.0),
+      span_rec(2, "b", SpanKind::Compute, 1, 0, 0.0, 1.0),
+      span_rec(3, "c", SpanKind::Comm, 0, 0, 1.0, 2.0),
+  };
+  ChromeTraceOptions opt;
+  opt.thread_names = {"lane.x", "lane.y"};
+  const auto v = json_parse(to_chrome_trace(trace, opt));
   double tid_x = -1.0, tid_y = -1.0;
+  std::map<double, std::string> track_names;
   for (const auto& e : v.array) {
+    if (e.at("ph").string == "M" && e.at("name").string == "thread_name") {
+      track_names[e.at("tid").number] = e.at("args").at("name").string;
+    }
     if (e.at("ph").string != "X") continue;
     if (e.at("name").string == "a") tid_x = e.at("tid").number;
     if (e.at("name").string == "b") tid_y = e.at("tid").number;
@@ -405,11 +403,14 @@ TEST(TraceExport, OneTrackPerLane) {
     }
   }
   EXPECT_NE(tid_x, tid_y);
+  EXPECT_EQ(track_names,
+            (std::map<double, std::string>{{tid_x, "lane.x"},
+                                           {tid_y, "lane.y"}}));
 }
 
 TEST(TraceExport, SimulatedStepExportsRoundTrip) {
-  // The fig10 path end-to-end: a real co-simulated step's records parse as
-  // a Chrome trace with events on every stream.
+  // The fig10 path end-to-end: a real co-simulated step's spans parse as
+  // a Chrome trace with one event per op and one named track per lane.
   pipeline::DnsStepModel model;
   pipeline::PipelineConfig cfg;
   cfg.n = 3072;
@@ -418,35 +419,29 @@ TEST(TraceExport, SimulatedStepExportsRoundTrip) {
   cfg.mpi = pipeline::MpiConfig::B;
   const auto r = model.simulate_gpu_step(cfg);
   ASSERT_FALSE(r.records.empty());
-  const auto v = json_parse(to_chrome_trace(r.records));
+  SpanTrace trace;
+  trace.spans = r.records;
+  ChromeTraceOptions opt;
+  opt.thread_names = r.lanes;
+  const auto v = json_parse(to_chrome_trace(trace, opt));
   std::size_t complete = 0;
+  std::set<std::string> tracks;
   for (const auto& e : v.array) {
     if (e.at("ph").string == "X") ++complete;
+    if (e.at("ph").string == "M" && e.at("name").string == "thread_name") {
+      tracks.insert(e.at("args").at("name").string);
+    }
   }
   EXPECT_EQ(complete, r.records.size());
+  EXPECT_EQ(tracks, std::set<std::string>(r.lanes.begin(), r.lanes.end()));
+  EXPECT_EQ(tracks.count("r0.g0.compute"), 1u);
 }
 
 TEST(TraceExport, ColorsAreStableChromeNames) {
-  EXPECT_STREQ(chrome_color(sim::OpCategory::Mpi), "terrible");
-  EXPECT_NE(chrome_color(sim::OpCategory::Compute), nullptr);
-  EXPECT_NE(chrome_color(sim::OpCategory::H2D),
-            chrome_color(sim::OpCategory::Compute));
+  EXPECT_STREQ(chrome_color(SpanKind::Comm), "terrible");
+  EXPECT_STREQ(chrome_color(SpanKind::Compute), "thread_state_running");
+  EXPECT_STREQ(chrome_color(SpanKind::Transfer), "thread_state_iowait");
 }
-
-namespace {
-SpanRecord span_rec(SpanId id, const std::string& name, SpanKind kind,
-                    int thread, int rank, double start, double end) {
-  SpanRecord s;
-  s.id = id;
-  s.name = name;
-  s.kind = kind;
-  s.thread = thread;
-  s.rank = rank;
-  s.start_s = start;
-  s.end_s = end;
-  return s;
-}
-}  // namespace
 
 TEST(TraceExport, SpanTraceRoundTripsWithFlowEvents) {
   // A two-rank trace with one causal edge: every emitted document must

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "model/paper.hpp"
 #include "model/scaling.hpp"
+#include "obs/critical_path.hpp"
 #include "pipeline/async_fft.hpp"
 #include "pipeline/dns_step_model.hpp"
 #include "pipeline/timeline.hpp"
@@ -160,6 +164,68 @@ TEST(StepModel, MpiDominatesRuntimeInBestConfig) {
   EXPECT_GT(r.mpi_busy / r.seconds, 0.6);
 }
 
+/// Fig. 10's case: 12288^3 on 1024 nodes, 3 pencils per slab.
+PipelineConfig fig10_config(MpiConfig mpi) {
+  PipelineConfig cfg;
+  cfg.n = 12288;
+  cfg.nodes = 1024;
+  cfg.pencils = 3;
+  cfg.mpi = mpi;
+  return cfg;
+}
+
+TEST(StepModel, SpansCarryTheirLaneRankAndName) {
+  // Every op is one span whose thread names its lane in the step's lane
+  // table and whose rank is that lane's "r<k>" prefix, so per-rank overlap
+  // groups exactly the ops the lane names do.
+  DnsStepModel m;
+  const auto r = m.simulate_gpu_step(fig10_config(MpiConfig::A));
+  ASSERT_FALSE(r.records.empty());
+  std::set<int> ranks;
+  for (std::size_t i = 0; i < r.records.size(); ++i) {
+    const auto& s = r.records[i];
+    EXPECT_EQ(s.id, i + 1);
+    ASSERT_GE(s.thread, 0);
+    ASSERT_LT(static_cast<std::size_t>(s.thread), r.lanes.size());
+    const std::string& lane = r.lanes[static_cast<std::size_t>(s.thread)];
+    ASSERT_GE(s.rank, 0) << lane;
+    EXPECT_EQ(lane.substr(0, lane.find('.')), "r" + std::to_string(s.rank))
+        << s.name;
+    ranks.insert(s.rank);
+  }
+  EXPECT_EQ(ranks.size(), 3u);  // config A: 3 ranks per socket
+}
+
+TEST(StepModel, TransferBusyIsOneUnionOfAllCopies) {
+  // transfer_busy is wall time with >= 1 copy active: one union over H2D
+  // copies (staging and zero-copy unpack) and D2H copies, never more than
+  // the step. In config C the two directions overlap, so it is strictly
+  // less than the H2D union plus the D2H union.
+  DnsStepModel m;
+  const auto busy_of = [](const StepResult& r, bool d2h) {
+    std::vector<obs::SpanRecord> copies;
+    for (const auto& s : r.records) {
+      if ((s.name.find(".d2h") != std::string::npos) == d2h) {
+        copies.push_back(s);
+      }
+    }
+    return obs::busy_time(copies, obs::SpanKind::Transfer);
+  };
+  for (const auto mc : {MpiConfig::A, MpiConfig::B, MpiConfig::C}) {
+    const auto r = m.simulate_gpu_step(fig10_config(mc));
+    const double h2d = busy_of(r, false);
+    const double d2h = busy_of(r, true);
+    EXPECT_GT(h2d, 0.0) << to_string(mc);
+    EXPECT_GT(d2h, 0.0) << to_string(mc);
+    EXPECT_LE(r.transfer_busy, r.seconds) << to_string(mc);
+    EXPECT_GE(r.transfer_busy, std::max(h2d, d2h)) << to_string(mc);
+    EXPECT_LE(r.transfer_busy, h2d + d2h + 1e-12) << to_string(mc);
+    if (mc == MpiConfig::C) {
+      EXPECT_LT(r.transfer_busy, 0.9 * (h2d + d2h));
+    }
+  }
+}
+
 TEST(StepModel, AsyncBeatsSerializedAblation) {
   DnsStepModel m;
   auto cfg = make_config(2, MpiConfig::C);
@@ -296,8 +362,8 @@ TEST(StepModel, RejectsInfeasibleConfigurations) {
 TEST(Timeline, LanePerStreamViewShowsStreams) {
   DnsStepModel m;
   const auto r = m.simulate_gpu_step(make_config(0, MpiConfig::B));
-  const std::string t = render_timeline(
-      r.records, r.seconds, {.columns = 60, .show_lane_per_stream = true});
+  const std::string t =
+      render_timeline(r.records, r.seconds, {.columns = 60, .lanes = r.lanes});
   EXPECT_NE(t.find(".compute"), std::string::npos);
   EXPECT_NE(t.find(".transfer"), std::string::npos);
   EXPECT_NE(t.find(".mpi"), std::string::npos);
@@ -305,15 +371,34 @@ TEST(Timeline, LanePerStreamViewShowsStreams) {
 
 // --- timeline rendering (Fig. 10 machinery) ---
 
+obs::SpanRecord span(obs::SpanId id, const std::string& name,
+                     obs::SpanKind kind, int thread, double start,
+                     double end) {
+  obs::SpanRecord s;
+  s.id = id;
+  s.name = name;
+  s.kind = kind;
+  s.thread = thread;
+  s.start_s = start;
+  s.end_s = end;
+  return s;
+}
+
 TEST(Timeline, RendersCategoriesAndDuration) {
   DnsStepModel m;
   const auto r = m.simulate_gpu_step(make_config(2, MpiConfig::C));
   const std::string t = render_timeline(r.records, r.seconds);
-  EXPECT_NE(t.find("MPI"), std::string::npos);
-  EXPECT_NE(t.find("compute"), std::string::npos);
+  // One row per span kind: H2D, D2H+pack and unpack copies share the
+  // transfer row.
+  EXPECT_EQ(t.find("MPI      |"), 0u);
+  EXPECT_NE(t.find("\ntransfer |"), std::string::npos);
+  EXPECT_NE(t.find("\ncompute  |"), std::string::npos);
+  EXPECT_EQ(t.find("H2D"), std::string::npos);
   EXPECT_NE(t.find('#'), std::string::npos);
   const std::string busy = summarize_busy(r.records, r.seconds);
   EXPECT_NE(busy.find("MPI:"), std::string::npos);
+  EXPECT_NE(busy.find("transfer:"), std::string::npos);
+  EXPECT_NE(busy.find("compute:"), std::string::npos);
 }
 
 TEST(Timeline, EmptyTraceHandled) {
@@ -323,11 +408,12 @@ TEST(Timeline, EmptyTraceHandled) {
 TEST(Timeline, LanePerStreamPaintsOneRowPerLane) {
   // Two lanes, synthetic ops: each lane gets its own labeled row whose '#'
   // extent matches the op placement.
-  std::vector<sim::OpRecord> recs(2);
-  recs[0] = {"a", "laneA", sim::OpCategory::Compute, 0.0, 5.0};
-  recs[1] = {"b", "laneB", sim::OpCategory::Mpi, 5.0, 10.0};
+  const std::vector<obs::SpanRecord> recs = {
+      span(1, "a", obs::SpanKind::Compute, 0, 0.0, 5.0),
+      span(2, "b", obs::SpanKind::Comm, 1, 5.0, 10.0),
+  };
   const std::string t = render_timeline(
-      recs, 10.0, {.columns = 10, .show_lane_per_stream = true});
+      recs, 10.0, {.columns = 10, .lanes = {"laneA", "laneB"}});
   EXPECT_NE(t.find("laneA |#####"), std::string::npos);
   EXPECT_NE(t.find("laneB |"), std::string::npos);
   // laneB's row is idle in the first half.
@@ -339,9 +425,10 @@ TEST(Timeline, LanePerStreamPaintsOneRowPerLane) {
 TEST(Timeline, ClipsOpsBeyondTEnd) {
   // With t_end before the second op even starts, the later op must not
   // smear into the last column of the render.
-  std::vector<sim::OpRecord> recs(2);
-  recs[0] = {"a", "l", sim::OpCategory::Mpi, 0.0, 2.0};
-  recs[1] = {"b", "l", sim::OpCategory::Mpi, 8.0, 10.0};
+  const std::vector<obs::SpanRecord> recs = {
+      span(1, "a", obs::SpanKind::Comm, 0, 0.0, 2.0),
+      span(2, "b", obs::SpanKind::Comm, 0, 8.0, 10.0),
+  };
   const std::string full = render_timeline(recs, 10.0, {.columns = 10});
   const std::string clipped = render_timeline(recs, 4.0, {.columns = 10});
   // Full window: MPI row shows both ops (last column painted).
@@ -359,8 +446,9 @@ TEST(Timeline, ClipsOpsBeyondTEnd) {
 TEST(Timeline, ClipsOpsStraddlingTEnd) {
   // An op that starts inside the window but finishes after t_end paints up
   // to the last column without reading past it.
-  std::vector<sim::OpRecord> recs(1);
-  recs[0] = {"a", "l", sim::OpCategory::Mpi, 3.0, 100.0};
+  const std::vector<obs::SpanRecord> recs = {
+      span(1, "a", obs::SpanKind::Comm, 0, 3.0, 100.0),
+  };
   const std::string t = render_timeline(recs, 4.0, {.columns = 8});
   const auto p = t.find("MPI");
   const auto bar = t.find('|', p);

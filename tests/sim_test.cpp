@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/dag.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow_network.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 
 namespace psdns::sim {
 namespace {
+
+using obs::SpanKind;
 
 TEST(Engine, EventsFireInTimeOrder) {
   Engine eng;
@@ -168,8 +170,8 @@ TEST(Dag, LaneSerializesOps) {
   FlowNetwork net(eng);
   DagRunner dag(eng, net);
   const LaneId lane = dag.add_lane("stream");
-  const OpId a = dag.add_op("a", lane, OpCategory::Compute, 1.0, {});
-  const OpId b = dag.add_op("b", lane, OpCategory::Compute, 2.0, {});
+  const OpId a = dag.add_op("a", lane, SpanKind::Compute, 1.0, {});
+  const OpId b = dag.add_op("b", lane, SpanKind::Compute, 2.0, {});
   const double makespan = dag.run();
   EXPECT_DOUBLE_EQ(makespan, 3.0);
   EXPECT_DOUBLE_EQ(dag.start_time(b), dag.finish_time(a));
@@ -181,8 +183,8 @@ TEST(Dag, IndependentLanesOverlap) {
   DagRunner dag(eng, net);
   const LaneId l1 = dag.add_lane("compute");
   const LaneId l2 = dag.add_lane("transfer");
-  dag.add_op("a", l1, OpCategory::Compute, 2.0, {});
-  dag.add_op("b", l2, OpCategory::H2D, 2.0, {});
+  dag.add_op("a", l1, SpanKind::Compute, 2.0, {});
+  dag.add_op("b", l2, SpanKind::Transfer, 2.0, {});
   EXPECT_DOUBLE_EQ(dag.run(), 2.0);
 }
 
@@ -193,8 +195,8 @@ TEST(Dag, CrossLaneDependencyEnforced) {
   DagRunner dag(eng, net);
   const LaneId transfer = dag.add_lane("transfer");
   const LaneId compute = dag.add_lane("compute");
-  const OpId h2d = dag.add_op("h2d", transfer, OpCategory::H2D, 1.5, {});
-  const OpId fft = dag.add_op("fft", compute, OpCategory::Compute, 1.0, {h2d});
+  const OpId h2d = dag.add_op("h2d", transfer, SpanKind::Transfer, 1.5, {});
+  const OpId fft = dag.add_op("fft", compute, SpanKind::Compute, 1.0, {h2d});
   EXPECT_DOUBLE_EQ(dag.run(), 2.5);
   EXPECT_DOUBLE_EQ(dag.start_time(fft), 1.5);
 }
@@ -205,7 +207,7 @@ TEST(Dag, OverheadChargedBeforeBody) {
   DagRunner dag(eng, net);
   const LaneId lane = dag.add_lane("s");
   const OpId op =
-      dag.add_op("k", lane, OpCategory::Compute, 1.0, {}, /*overhead=*/0.25);
+      dag.add_op("k", lane, SpanKind::Compute, 1.0, {}, /*overhead=*/0.25);
   EXPECT_DOUBLE_EQ(dag.run(), 1.25);
   EXPECT_DOUBLE_EQ(dag.start_time(op), 0.0);
 }
@@ -219,8 +221,8 @@ TEST(Dag, FlowOpsContendOnSharedLink) {
   DagRunner dag(eng, net);
   const LaneId l1 = dag.add_lane("a");
   const LaneId l2 = dag.add_lane("b");
-  dag.add_flow_op("x", l1, OpCategory::H2D, 100.0, {bus}, 1e12, {});
-  dag.add_flow_op("y", l2, OpCategory::Mpi, 100.0, {bus}, 1e12, {});
+  dag.add_flow_op("x", l1, SpanKind::Transfer, 100.0, {bus}, 1e12, {});
+  dag.add_flow_op("y", l2, SpanKind::Comm, 100.0, {bus}, 1e12, {});
   EXPECT_NEAR(dag.run(), 2.0, 1e-9);
 }
 
@@ -231,27 +233,44 @@ TEST(Dag, DiamondDependencyJoins) {
   const LaneId l1 = dag.add_lane("a");
   const LaneId l2 = dag.add_lane("b");
   const LaneId l3 = dag.add_lane("c");
-  const OpId src = dag.add_op("src", l1, OpCategory::Compute, 1.0, {});
-  const OpId left = dag.add_op("left", l1, OpCategory::Compute, 1.0, {src});
-  const OpId right = dag.add_op("right", l2, OpCategory::Compute, 3.0, {src});
+  const OpId src = dag.add_op("src", l1, SpanKind::Compute, 1.0, {});
+  const OpId left = dag.add_op("left", l1, SpanKind::Compute, 1.0, {src});
+  const OpId right = dag.add_op("right", l2, SpanKind::Compute, 3.0, {src});
   const OpId join =
-      dag.add_op("join", l3, OpCategory::Compute, 0.5, {left, right});
+      dag.add_op("join", l3, SpanKind::Compute, 0.5, {left, right});
   EXPECT_DOUBLE_EQ(dag.run(), 4.5);
   EXPECT_DOUBLE_EQ(dag.start_time(join), 4.0);
 }
 
 TEST(Dag, RecordsCaptureCategories) {
+  // Every op becomes one span on the sim clock: id = issue index + 1,
+  // thread = lane index, rank = the lane's rank, kind as issued.
   Engine eng;
   FlowNetwork net(eng);
   DagRunner dag(eng, net);
-  const LaneId lane = dag.add_lane("s");
-  dag.add_op("a", lane, OpCategory::H2D, 1.0, {});
-  dag.add_op("b", lane, OpCategory::Compute, 2.0, {});
-  dag.add_op("c", lane, OpCategory::H2D, 0.5, {});
+  const LaneId lane = dag.add_lane("r3.s", 3);
+  const LaneId other = dag.add_lane("t");
+  dag.add_op("a", lane, SpanKind::Transfer, 1.0, {});
+  dag.add_op("b", lane, SpanKind::Compute, 2.0, {});
+  dag.add_op("c", other, SpanKind::Comm, 0.5, {});
   dag.run();
-  const auto recs = dag.records();
-  EXPECT_DOUBLE_EQ(total_time(recs, OpCategory::H2D), 1.5);
-  EXPECT_DOUBLE_EQ(total_time(recs, OpCategory::Compute), 2.0);
+  const auto spans = dag.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(dag.lanes(), (std::vector<std::string>{"r3.s", "t"}));
+  EXPECT_EQ(spans[1].id, 2u);
+  EXPECT_EQ(spans[1].parent, 0u);
+  EXPECT_EQ(spans[1].name, "b");
+  EXPECT_EQ(spans[1].kind, SpanKind::Compute);
+  EXPECT_EQ(spans[1].thread, 0);
+  EXPECT_EQ(spans[1].rank, 3);
+  EXPECT_DOUBLE_EQ(spans[1].start_s, 1.0);
+  EXPECT_DOUBLE_EQ(spans[1].end_s, 3.0);
+  EXPECT_EQ(spans[0].kind, SpanKind::Transfer);
+  EXPECT_DOUBLE_EQ(spans[0].duration(), 1.0);
+  EXPECT_EQ(spans[2].kind, SpanKind::Comm);
+  EXPECT_EQ(spans[2].thread, 1);
+  EXPECT_EQ(spans[2].rank, -1);
+  EXPECT_DOUBLE_EQ(spans[2].duration(), 0.5);
 }
 
 // --- interference classes ---
@@ -312,65 +331,6 @@ TEST(FlowNetwork, AggressorsUnaffectedByVictims) {
   net.start_flow({bus}, 200.0, 200.0, [&] { aggressor_done = eng.now(); }, 0);
   eng.run();
   EXPECT_NEAR(aggressor_done, 1.0, 1e-9);
-}
-
-// --- trace helpers ---
-
-TEST(Trace, BusyTimeMergesOverlaps) {
-  std::vector<OpRecord> recs(3);
-  recs[0] = {"a", "l", OpCategory::Mpi, 0.0, 2.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 1.0, 3.0};
-  recs[2] = {"c", "l", OpCategory::Mpi, 5.0, 6.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 4.0);
-  EXPECT_DOUBLE_EQ(total_time(recs, OpCategory::Mpi), 5.0);
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::H2D), 0.0);
-}
-
-TEST(Trace, BusyTimeEmptyRecords) {
-  EXPECT_DOUBLE_EQ(busy_time({}, OpCategory::Mpi), 0.0);
-}
-
-TEST(Trace, BusyTimeZeroLengthOpsContributeNothing) {
-  std::vector<OpRecord> recs(3);
-  recs[0] = {"a", "l", OpCategory::Mpi, 1.0, 1.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 2.0, 2.0};
-  // An inverted interval (finish < start) is also length zero for busy time.
-  recs[2] = {"c", "l", OpCategory::Mpi, 5.0, 4.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 0.0);
-}
-
-TEST(Trace, BusyTimeBackToBackIntervalsMergeWithoutDoubleCount) {
-  // [0,1] and [1,2] share only the endpoint: busy time is 2, not 2 + 0.
-  std::vector<OpRecord> recs(2);
-  recs[0] = {"a", "l", OpCategory::Mpi, 0.0, 1.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 2.0);
-}
-
-TEST(Trace, BusyTimeNegativeStartTimes) {
-  // Spans before t=0 must not be swallowed by a sentinel "start" value.
-  std::vector<OpRecord> recs(2);
-  recs[0] = {"a", "l", OpCategory::Mpi, -3.0, -1.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 3.0);
-}
-
-TEST(Trace, BusyTimeDuplicateAndNestedSpans) {
-  std::vector<OpRecord> recs(3);
-  recs[0] = {"a", "l", OpCategory::Mpi, 0.0, 4.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 0.0, 4.0};
-  recs[2] = {"c", "l", OpCategory::Mpi, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 4.0);
-}
-
-TEST(Trace, BusyTimeZeroLengthOpsMixedWithRealOnes) {
-  // A zero-length op at t=10 must not seed a merge interval that bridges
-  // to later real work.
-  std::vector<OpRecord> recs(3);
-  recs[0] = {"a", "l", OpCategory::Mpi, 10.0, 10.0};
-  recs[1] = {"b", "l", OpCategory::Mpi, 0.0, 1.0};
-  recs[2] = {"c", "l", OpCategory::Mpi, 20.0, 21.0};
-  EXPECT_DOUBLE_EQ(busy_time(recs, OpCategory::Mpi), 2.0);
 }
 
 }  // namespace

@@ -402,7 +402,7 @@ TEST(OverlapTest, SerializedSpansHaveZeroEfficiency) {
   trace.spans.push_back(
       make_span(1, "fft", SpanKind::Compute, 1, 0, 0.0, 1.0));
   trace.spans.push_back(make_span(2, "a2a", SpanKind::Comm, 1, 0, 1.0, 2.0));
-  const auto ov = obs::overlap_stats(trace);
+  const auto ov = obs::overlap_stats(trace.spans);
   EXPECT_DOUBLE_EQ(ov.hidden, 0.0);
   EXPECT_DOUBLE_EQ(ov.exposed, 1.0);
   EXPECT_DOUBLE_EQ(ov.overlap_efficiency, 0.0);
@@ -413,7 +413,7 @@ TEST(OverlapTest, FullyOverlappedSpansReachEfficiencyOne) {
   trace.spans.push_back(
       make_span(1, "fft", SpanKind::Compute, 1, 0, 0.0, 2.0));
   trace.spans.push_back(make_span(2, "a2a", SpanKind::Comm, 2, 0, 0.0, 2.0));
-  const auto ov = obs::overlap_stats(trace);
+  const auto ov = obs::overlap_stats(trace.spans);
   EXPECT_DOUBLE_EQ(ov.hidden, 2.0);
   EXPECT_DOUBLE_EQ(ov.overlap_efficiency, 1.0);
 }
@@ -423,9 +423,93 @@ TEST(OverlapTest, CrossRankCoincidenceDoesNotCount) {
   trace.spans.push_back(
       make_span(1, "fft", SpanKind::Compute, 1, 0, 0.0, 1.0));
   trace.spans.push_back(make_span(2, "a2a", SpanKind::Comm, 2, 1, 0.0, 1.0));
-  const auto ov = obs::overlap_stats(trace);
+  const auto ov = obs::overlap_stats(trace.spans);
   EXPECT_DOUBLE_EQ(ov.hidden, 0.0);
   EXPECT_DOUBLE_EQ(ov.overlap_efficiency, 0.0);
+}
+
+// ------------------------------------------------------------- busy time
+
+TEST(Trace, BusyTimeMergesOverlaps) {
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, 0.0, 2.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 1.0, 3.0),
+      make_span(3, "c", SpanKind::Comm, 0, 0, 5.0, 6.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 4.0);
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Transfer), 0.0);
+}
+
+TEST(Trace, BusyTimeEmptyRecords) {
+  EXPECT_DOUBLE_EQ(obs::busy_time({}, SpanKind::Comm), 0.0);
+}
+
+TEST(Trace, BusyTimeZeroLengthOpsContributeNothing) {
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, 1.0, 1.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 2.0, 2.0),
+      // An inverted interval (end < start) is also length zero.
+      make_span(3, "c", SpanKind::Comm, 0, 0, 5.0, 4.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 0.0);
+}
+
+TEST(Trace, BusyTimeBackToBackIntervalsMergeWithoutDoubleCount) {
+  // [0,1] and [1,2] share only the endpoint: busy time is 2, not 2 + 0.
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, 0.0, 1.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 1.0, 2.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 2.0);
+}
+
+TEST(Trace, BusyTimeNegativeStartTimes) {
+  // Spans before t=0 must not be swallowed by a sentinel "start" value.
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, -3.0, -1.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 1.0, 2.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 3.0);
+}
+
+TEST(Trace, BusyTimeDuplicateAndNestedSpans) {
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, 0.0, 4.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 0.0, 4.0),
+      make_span(3, "c", SpanKind::Comm, 0, 0, 1.0, 2.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 4.0);
+}
+
+TEST(Trace, BusyTimeZeroLengthOpsMixedWithRealOnes) {
+  // A zero-length span at t=10 must not seed a merge interval that
+  // bridges to later real work.
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "a", SpanKind::Comm, 0, 0, 10.0, 10.0),
+      make_span(2, "b", SpanKind::Comm, 0, 0, 0.0, 1.0),
+      make_span(3, "c", SpanKind::Comm, 0, 0, 20.0, 21.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Comm), 2.0);
+}
+
+TEST(Trace, BusyTimeUnionsOneKindAcrossLanes) {
+  // An H2D on one lane over [0,2) and a D2H on another over [1,3) are both
+  // Transfer spans: the transfer stream is busy for 3 s, not 2 + 2.
+  const std::vector<SpanRecord> spans = {
+      make_span(1, "h2d", SpanKind::Transfer, 0, 0, 0.0, 2.0),
+      make_span(2, "d2h+pack", SpanKind::Transfer, 1, 0, 1.0, 3.0),
+      make_span(3, "fft", SpanKind::Compute, 2, 0, 0.0, 5.0),
+  };
+  EXPECT_DOUBLE_EQ(obs::busy_time(spans, SpanKind::Transfer), 3.0);
+}
+
+TEST(Trace, BusyTimeCountsLeafSpansOnly) {
+  // Like the overlap analyses, an enclosing phase span does not add its
+  // own extent to the union of its children.
+  auto phase = make_span(1, "phase", SpanKind::Compute, 0, 0, 0.0, 10.0);
+  auto leaf = make_span(2, "fft", SpanKind::Compute, 0, 0, 2.0, 5.0);
+  leaf.parent = 1;
+  EXPECT_DOUBLE_EQ(obs::busy_time({phase, leaf}, SpanKind::Compute), 3.0);
 }
 
 /// Acceptance: on the pipeline step model, the Fig.-4 batched schedule

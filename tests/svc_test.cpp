@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -1138,6 +1139,80 @@ TEST(HttpHeaders, MalformedContentLengthIsRefusedWith400) {
       server.port(), "POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
   EXPECT_NE(ok.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(ok.find("handler ran: hello"), std::string::npos);
+}
+
+/// A loopback connection that has written `prefix` (possibly nothing) and
+/// then stays silent. Closing it on destruction also releases a server
+/// still blocked reading from it, so a failing test cannot hang.
+struct StalledPeer {
+  int fd = -1;
+
+  StalledPeer(int port, const std::string& prefix) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::write(fd, prefix.data(), prefix.size()) !=
+            static_cast<ssize_t>(prefix.size())) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
+  ~StalledPeer() {
+    if (fd >= 0) ::close(fd);
+  }
+  StalledPeer(const StalledPeer&) = delete;
+  StalledPeer& operator=(const StalledPeer&) = delete;
+
+  /// What the server sent before closing, waiting at most 5 s.
+  std::string reply() const {
+    const timeval limit{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    std::string out;
+    char buf[256];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) > 0;) {
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+    return out;
+  }
+};
+
+TEST(HttpServer, SilentPeerCannotStallHealth) {
+  // The server reads one request at a time. A peer that connects and sends
+  // nothing, or announces a 12-byte body and stops after 3, is dropped at
+  // the 2 s request read deadline, so /health still answers within the
+  // deadline + 1 s.
+  net::HttpServer server({}, [](const net::HttpRequest& req) {
+    return req.path == "/health" ? net::HttpResponse::text("ok\n")
+                                 : net::HttpResponse::not_found();
+  });
+  for (const std::string& prefix :
+       {std::string(), std::string("POST /jobs HTTP/1.1\r\n"
+                                   "Content-Length: 12\r\n\r\nabc")}) {
+    const StalledPeer silent(server.port(), prefix);
+    ASSERT_GE(silent.fd, 0);
+    const util::Stopwatch watch;
+    int status = 0;
+    std::string body;
+    EXPECT_NO_THROW(body = net::http_get("127.0.0.1", server.port(),
+                                         "/health", &status, 3.0))
+        << prefix;
+    EXPECT_EQ(status, 200) << prefix;
+    EXPECT_EQ(body, "ok\n");
+    EXPECT_LT(watch.seconds(), 3.0) << prefix;
+    // The silent peer was dropped; the short body was refused, never
+    // handed to the handler.
+    const std::string reply = silent.reply();
+    if (prefix.empty()) {
+      EXPECT_EQ(reply, "");
+    } else {
+      EXPECT_EQ(reply.rfind("HTTP/1.1 400", 0), 0u) << reply;
+    }
+  }
 }
 
 // --- client timeout + retry (the hardened http_get) ----------------------
