@@ -144,6 +144,70 @@ BENCHMARK(BM_BatchedLinesThreads)
     ->Args({1024, 2})
     ->Args({1024, 4});
 
+// One field's x and y passes on one of two slab ranks at N = 128, timed in
+// the same binary so their ratio is a machine-independent figure. The x
+// pass takes n*n/2 unit-stride real lines (in_dist n) into n/2+1
+// coefficients each (out_dist n/2+1); the y pass moves the same complex
+// bytes as n/2 planes of n/2+1 lines at stride n/2+1 (dist 1).
+std::size_t slab_rank_lines(std::size_t n) { return n * n / 2; }
+
+void BM_R2CBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t h = n / 2 + 1, lines = slab_rank_lines(n);
+  const auto plan = psdns::fft::get_plan_r2c(n);
+  psdns::util::Rng rng(7);
+  std::vector<Real> x(n * lines);
+  std::vector<Complex> y(h * lines);
+  for (auto& v : x) v = rng.gaussian();
+  for (auto _ : state) {
+    plan->forward_batch(x.data(), n, y.data(), h, lines);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * lines));
+}
+BENCHMARK(BM_R2CBatch)->Arg(128);
+
+void BM_C2RBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t h = n / 2 + 1, lines = slab_rank_lines(n);
+  const auto plan = psdns::fft::get_plan_r2c(n);
+  psdns::util::Rng rng(8);
+  std::vector<Complex> y(h * lines);
+  std::vector<Real> x(n * lines);
+  for (auto& c : y) c = Complex{rng.gaussian(), rng.gaussian()};
+  for (auto _ : state) {
+    plan->inverse_batch(y.data(), h, x.data(), n, lines);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * lines));
+}
+BENCHMARK(BM_C2RBatch)->Arg(128);
+
+void BM_C2CPlane(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t h = n / 2 + 1, planes = n / 2;
+  const auto plan = psdns::fft::get_plan(n);
+  psdns::util::Rng rng(9);
+  std::vector<Complex> x(h * n * planes);
+  for (auto& c : x) c = Complex{rng.gaussian(), rng.gaussian()};
+  const BatchLayout layout{.count = h, .stride = h, .dist = 1};
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < planes; ++p) {
+      Complex* base = x.data() + h * n * p;
+      plan->transform_batch(Direction::Forward, base, base, layout);
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n * slab_rank_lines(n)));
+}
+BENCHMARK(BM_C2CPlane)->Arg(128);
+
 void BM_Fft3dR2C(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   psdns::fft::Shape3 shape{n, n, n};

@@ -174,9 +174,11 @@ void SpectralEngine::shape_vector_spectrum(std::size_t base, double k_peak,
   const auto current =
       energy_spectrum(view_, comm_, state_[base].data(),
                       state_[base + 1].data(), state_[base + 2].data());
-  std::vector<double> gain(current.size(), 0.0);
+  // Shaped over shells 0..N/2; the modes beyond (the truncation corners)
+  // start at zero.
+  std::vector<double> gain(view_.n / 2 + 1, 0.0);
   double target_total = 0.0;
-  for (std::size_t s = 1; s < current.size(); ++s) {
+  for (std::size_t s = 1; s < gain.size(); ++s) {
     const double kr = static_cast<double>(s) / k_peak;
     const double target = std::pow(kr, 4.0) * std::exp(-2.0 * kr * kr);
     target_total += target;
@@ -259,9 +261,9 @@ void SpectralEngine::init_scalar_isotropic(int s, std::uint64_t seed,
   apply_dealias(theta.data());
 
   const auto current = field_spectrum(view_, comm_, theta.data());
-  std::vector<double> gain(current.size(), 0.0);
+  std::vector<double> gain(view_.n / 2 + 1, 0.0);  // as for the velocity
   double target_total = 0.0;
-  for (std::size_t sh = 1; sh < current.size(); ++sh) {
+  for (std::size_t sh = 1; sh < gain.size(); ++sh) {
     const double kr = static_cast<double>(sh) / k_peak;
     const double target = std::pow(kr, 4.0) * std::exp(-2.0 * kr * kr);
     target_total += target;
@@ -613,7 +615,7 @@ SpectralEngine::named_spectra() {
 
 std::vector<double> SpectralEngine::transfer_spectrum() {
   compute_rhs(state_ptrs_.data(), rhs_a_ptrs_.data(), /*with_forcing=*/false);
-  std::vector<double> shells(config_.n / 2 + 1, 0.0);
+  std::vector<double> shells(spectrum_shells(config_.n), 0.0);
   for_each_mode(view_, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
                                   static_cast<double>(ky) * ky +

@@ -1,6 +1,8 @@
 #include "dns/spectral_ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace psdns::dns {
 
@@ -47,11 +49,16 @@ void dealias_spherical(const ModeView& view, Complex* field, double kmax) {
 
 void apply_integrating_factor(const ModeView& view, Complex* field, double nu,
                               double dt) {
+  // The factor depends on the integer |k|^2 <= 3 (N/2)^2 alone: one exp per
+  // value, not per mode (the same expression, so the same bits).
+  thread_local std::vector<double> factor;
+  const std::size_t half = view.n / 2;
+  factor.resize(3 * half * half + 1);
+  for (std::size_t k2 = 0; k2 < factor.size(); ++k2) {
+    factor[k2] = std::exp(-nu * static_cast<double>(k2) * dt);
+  }
   for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
-    const double k2 = static_cast<double>(kx) * kx +
-                      static_cast<double>(ky) * ky +
-                      static_cast<double>(kz) * kz;
-    field[idx] *= std::exp(-nu * k2 * dt);
+    field[idx] *= factor[static_cast<std::size_t>(kx * kx + ky * ky + kz * kz)];
   });
 }
 
@@ -140,10 +147,17 @@ double dissipation(const ModeView& view, comm::Communicator& comm,
          });
 }
 
+std::size_t spectrum_shells(std::size_t n) {
+  const double kmax = static_cast<double>((n - 1) / 3);
+  const auto corner =
+      static_cast<std::size_t>(std::lround(std::sqrt(3.0) * kmax));
+  return std::max(n / 2, corner) + 1;
+}
+
 std::vector<double> energy_spectrum(const ModeView& view,
                                     comm::Communicator& comm, const Complex* u,
                                     const Complex* v, const Complex* w) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
+  std::vector<double> shells(spectrum_shells(view.n), 0.0);
   for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
                                   static_cast<double>(ky) * ky +
@@ -203,7 +217,7 @@ double field_dissipation(const ModeView& view, comm::Communicator& comm,
 std::vector<double> field_spectrum(const ModeView& view,
                                    comm::Communicator& comm,
                                    const Complex* f) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
+  std::vector<double> shells(spectrum_shells(view.n), 0.0);
   for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
                                   static_cast<double>(ky) * ky +

@@ -64,7 +64,12 @@ double field_variance(const ModeView& view, comm::Communicator& comm,
 double field_dissipation(const ModeView& view, comm::Communicator& comm,
                          const Complex* f, double kappa);
 
-/// Shell spectrum of 1/2 |f|^2. Collective.
+/// Length of the shell spectra: one shell per round(|k|) that a mode kept
+/// by the 2/3 truncation can reach (the corner |k| = sqrt(3) (N-1)/3), and
+/// never fewer than N/2 + 1, so every dealiased mode is binned.
+std::size_t spectrum_shells(std::size_t n);
+
+/// Shell spectrum of 1/2 |f|^2, spectrum_shells(N) shells. Collective.
 std::vector<double> field_spectrum(const ModeView& view,
                                    comm::Communicator& comm,
                                    const Complex* f);
@@ -89,7 +94,7 @@ double dissipation(const ModeView& view, comm::Communicator& comm,
                    double nu);
 
 /// Shell-averaged energy spectrum: E[s] sums 1/2 |u|^2 over modes with
-/// round(|k|) == s, s in [0, N/2]. Collective.
+/// round(|k|) == s, s < spectrum_shells(N). Collective.
 std::vector<double> energy_spectrum(const ModeView& view,
                                     comm::Communicator& comm, const Complex* u,
                                     const Complex* v, const Complex* w);

@@ -58,7 +58,7 @@ std::vector<double> helicity_spectrum(const ModeView& view,
                                       comm::Communicator& comm,
                                       const Complex* u, const Complex* v,
                                       const Complex* w) {
-  std::vector<double> shells(view.n / 2 + 1, 0.0);
+  std::vector<double> shells(spectrum_shells(view.n), 0.0);
   for_each_mode(view, [&](std::size_t idx, int kx, int ky, int kz) {
     const double kmag = std::sqrt(static_cast<double>(kx) * kx +
                                   static_cast<double>(ky) * ky +

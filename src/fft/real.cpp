@@ -38,6 +38,28 @@ util::WorkspaceArena::Handle<Complex>& batch_scratch(std::size_t slot,
   return buf[slot];
 }
 
+// Lines per block of the batched real paths: small enough that the two
+// half-length staging buffers (8 KiB each) stay L1-resident, so the pack,
+// the half-length stages and the unravel all run out of L1 while the user
+// lines stream through once; 8 to 64 lines, as for batch_block_lines.
+std::size_t real_block_lines(std::size_t h) {
+  constexpr std::size_t kStageBytes = std::size_t{1} << 13;
+  return std::clamp<std::size_t>(kStageBytes / (sizeof(Complex) * h), 8, 64);
+}
+
+// (Re c, Re c) at [k], (Im c, Im c) at [h + 1 + k] for c = f(omega[k]).
+template <class F>
+std::vector<Complex> pack_twiddles(const std::vector<Complex>& omega, F f) {
+  const std::size_t m = omega.size();
+  std::vector<Complex> tw(2 * m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const Complex c = f(omega[k]);
+    tw[k] = Complex{c.real(), c.real()};
+    tw[m + k] = Complex{c.imag(), c.imag()};
+  }
+  return tw;
+}
+
 }  // namespace
 
 PlanR2C::PlanR2C(std::size_t n) : n_(n) {
@@ -51,6 +73,12 @@ PlanR2C::PlanR2C(std::size_t n) : n_(n) {
       const double phase = base * static_cast<double>(k);
       omega_[k] = Complex{std::cos(phase), std::sin(phase)};
     }
+    unravel_tw_ = pack_twiddles(omega_, [](Complex w) {
+      return Complex{0.5 * w.imag(), -0.5 * w.real()};  // -i w / 2
+    });
+    recover_tw_ = pack_twiddles(omega_, [](Complex w) {
+      return Complex{0.5 * w.imag(), 0.5 * w.real()};  // i conj(w) / 2
+    });
   } else {
     full_ = get_plan(n);
   }
@@ -135,8 +163,9 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
   }
 
   const std::size_t h = n_ / 2;
-  const std::size_t bmax = batch_block_lines(h);
+  const std::size_t bmax = real_block_lines(h);
   const std::size_t blocks = (count + bmax - 1) / bmax;
+  const detail::RealPassKernels& kern = detail::real_pass_kernels();
 
   // Blocks stripe across the worker pool; per-thread staging keeps them
   // independent and the fixed bmax partition keeps results bitwise identical
@@ -145,37 +174,15 @@ void PlanR2C::forward_batch(const Real* in, std::size_t in_dist, Complex* out,
       "fft.r2c.batch", 0, blocks, [&](std::size_t blk) {
         const std::size_t b0 = blk * bmax;
         const std::size_t nb = std::min(bmax, count - b0);
-        Complex* stage0 =
-            batch_scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
-        Complex* stage1 =
-            batch_scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
-        // Pack adjacent real pairs of every line, batch-innermost.
-        Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
-        for (std::size_t j = 0; j < h; ++j) {
-          const Real* col = in + b0 * in_dist + 2 * j;
-          Complex* dst = gbuf + j * nb;
-          for (std::size_t b = 0; b < nb; ++b) {
-            dst[b] = Complex{col[b * in_dist], col[b * in_dist + 1]};
-          }
-        }
+        Complex* stage0 = batch_scratch(0, bmax * h).data();
+        Complex* stage1 = batch_scratch(1, bmax * h).data();
+        // Pack adjacent real pairs batch-innermost, take the half-length
+        // transforms, unravel the spectra back into the user lines.
+        kern.r2c_pack(in + b0 * in_dist, in_dist, h, nb,
+                      eng->prefers_work_input() ? stage1 : stage0);
         eng->execute_batch(Direction::Forward, stage0, stage1, nb);
-        // Unravel X[k] = A[k] + w^k B[k] across the batch; the zk/zmk
-        // columns are contiguous nb-wide runs of the staging buffer.
-        for (std::size_t k = 0; k <= h; ++k) {
-          const Complex w = omega_[k];
-          const Complex* zkc = stage0 + (k == h ? 0 : k) * nb;
-          const Complex* zmc = stage0 + ((h - k) % h) * nb;
-          Complex* dst = out + b0 * out_dist + k;
-          for (std::size_t b = 0; b < nb; ++b) {
-            const double zkr = zkc[b].real(), zki = zkc[b].imag();
-            const double zmr = zmc[b].real(), zmi = -zmc[b].imag();
-            const double ar = 0.5 * (zkr + zmr), ai = 0.5 * (zki + zmi);
-            // (zk - zmk) / (2i) == (zk - zmk) * (-i/2)
-            const double br = 0.5 * (zki - zmi), bi = -0.5 * (zkr - zmr);
-            dst[b * out_dist] = Complex{ar + br * w.real() - bi * w.imag(),
-                                        ai + br * w.imag() + bi * w.real()};
-          }
-        }
+        kern.r2c_unravel(stage0, unravel_tw_.data(), h, nb,
+                         out + b0 * out_dist, out_dist);
       });
 }
 
@@ -190,48 +197,20 @@ void PlanR2C::inverse_batch(const Complex* in, std::size_t in_dist, Real* out,
   }
 
   const std::size_t h = n_ / 2;
-  const std::size_t bmax = batch_block_lines(h);
+  const std::size_t bmax = real_block_lines(h);
   const std::size_t blocks = (count + bmax - 1) / bmax;
+  const detail::RealPassKernels& kern = detail::real_pass_kernels();
 
   util::ThreadPool::global().parallel_for(
       "fft.r2c.batch", 0, blocks, [&](std::size_t blk) {
         const std::size_t b0 = blk * bmax;
         const std::size_t nb = std::min(bmax, count - b0);
-        Complex* stage0 =
-            batch_scratch(0, bmax * std::max<std::size_t>(h, 1)).data();
-        Complex* stage1 =
-            batch_scratch(1, bmax * std::max<std::size_t>(h, 1)).data();
-        // Recover the packed half-length spectrum Z[k] = A[k] + i*B[k].
-        Complex* gbuf = eng->prefers_work_input() ? stage1 : stage0;
-        for (std::size_t k = 0; k < h; ++k) {
-          const Complex wb = std::conj(omega_[k]);
-          const Complex* xkc = in + b0 * in_dist + k;
-          const Complex* xmc = in + b0 * in_dist + (h - k);
-          Complex* dst = gbuf + k * nb;
-          for (std::size_t b = 0; b < nb; ++b) {
-            const double xkr = xkc[b * in_dist].real();
-            const double xki = xkc[b * in_dist].imag();
-            const double xmr = xmc[b * in_dist].real();
-            const double xmi = -xmc[b * in_dist].imag();
-            const double ar = 0.5 * (xkr + xmr), ai = 0.5 * (xki + xmi);
-            const double dr = 0.5 * (xkr - xmr), di = 0.5 * (xki - xmi);
-            const double br = dr * wb.real() - di * wb.imag();
-            const double bi = dr * wb.imag() + di * wb.real();
-            // Z = a + i*b
-            dst[b] = Complex{ar - bi, ai + br};
-          }
-        }
+        Complex* stage0 = batch_scratch(0, bmax * h).data();
+        Complex* stage1 = batch_scratch(1, bmax * h).data();
+        kern.c2r_recover(in + b0 * in_dist, in_dist, recover_tw_.data(), h,
+                         nb, eng->prefers_work_input() ? stage1 : stage0);
         eng->execute_batch(Direction::Inverse, stage0, stage1, nb);
-        // The half-length unnormalized inverse carries a factor h; the c2r
-        // convention wants n = 2h, hence the factor 2.
-        for (std::size_t j = 0; j < h; ++j) {
-          const Complex* src = stage0 + j * nb;
-          Real* col = out + b0 * out_dist + 2 * j;
-          for (std::size_t b = 0; b < nb; ++b) {
-            col[b * out_dist] = 2.0 * src[b].real();
-            col[b * out_dist + 1] = 2.0 * src[b].imag();
-          }
-        }
+        kern.c2r_scatter(stage0, h, nb, out + b0 * out_dist, out_dist);
       });
 }
 

@@ -46,6 +46,10 @@ class PlanR2C {
   std::shared_ptr<const PlanC2C> half_;  // length n/2 plan (even n)
   std::shared_ptr<const PlanC2C> full_;  // length n fallback (odd n)
   std::vector<Complex> omega_;           // exp(-2*pi*i*k/n), k in [0, n/2]
+  // The batched passes' factors -i omega_[k]/2 (forward) and
+  // i conj(omega_[k])/2 (inverse), laid out as the pack kernels load them
+  // (see stockham_kernels.hpp).
+  std::vector<Complex> unravel_tw_, recover_tw_;
 };
 
 /// Process-wide plan cache for real transforms. Thread-safe.

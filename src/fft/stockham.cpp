@@ -61,6 +61,21 @@ void run_stage_tail_scalar(const StockhamStage& st, const Complex* tw,
                                               nchunks, xs, out_stride, x, y);
 }
 
+const RealPassKernels& real_pass_kernels_scalar() {
+  static constexpr RealPassKernels kernels =
+      real_pass_kernels_for<util::simd::ScalarPack>();
+  return kernels;
+}
+
+const RealPassKernels& real_pass_kernels() {
+#if defined(PSDNS_HAVE_AVX2)
+  if (util::simd::active_backend() == util::simd::Backend::Avx2) {
+    return real_pass_kernels_avx2();
+  }
+#endif
+  return real_pass_kernels_scalar();
+}
+
 }  // namespace detail
 
 StockhamEngine::StockhamEngine(std::size_t n) : n_(n) {

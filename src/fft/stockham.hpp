@@ -64,6 +64,38 @@ void run_stage_tail_avx2(const StockhamStage& st, const Complex* tw,
                          std::size_t out_stride, const Complex* x, Complex* y);
 #endif
 
+/// Pre/post passes of the batched real transform over one block of `nb`
+/// lines of a length-2h real transform, between the line-major user arrays
+/// and the batch-innermost staging rows `z` (row j = element j of every
+/// line). Written once over the SIMD packs in stockham_kernels.hpp; one
+/// table per backend. `tw` holds the unravel (or recover) factor c_k as
+/// (Re c_k, Re c_k) at tw[k] and (Im c_k, Im c_k) at tw[h + 1 + k], k <= h.
+struct RealPassKernels {
+  /// z[j*nb + b] = (in[b*in_dist + 2j], in[b*in_dist + 2j + 1]), j < h.
+  void (*r2c_pack)(const Real* in, std::size_t in_dist, std::size_t h,
+                   std::size_t nb, Complex* z);
+  /// out[b*out_dist + k], k <= h: the spectrum unravelled from the
+  /// half-length transform z, with c_k = -i exp(-2 pi i k / 2h) / 2.
+  void (*r2c_unravel)(const Complex* z, const Complex* tw, std::size_t h,
+                      std::size_t nb, Complex* out, std::size_t out_dist);
+  /// z[k*nb + b], k < h: the packed half-length spectrum recovered from
+  /// the h+1 coefficients of each line, with c_k = i exp(2 pi i k / 2h) / 2.
+  void (*c2r_recover)(const Complex* in, std::size_t in_dist,
+                      const Complex* tw, std::size_t h, std::size_t nb,
+                      Complex* z);
+  /// out[b*out_dist + 2j + {0, 1}] = 2 * (re, im) of z[j*nb + b].
+  void (*c2r_scatter)(const Complex* z, std::size_t h, std::size_t nb,
+                      Real* out, std::size_t out_dist);
+};
+
+/// The scalar table, the AVX2+FMA table (stockham_avx2.cpp) and the one the
+/// active backend selects, as for the stage kernels.
+const RealPassKernels& real_pass_kernels_scalar();
+#if defined(PSDNS_HAVE_AVX2)
+const RealPassKernels& real_pass_kernels_avx2();
+#endif
+const RealPassKernels& real_pass_kernels();
+
 }  // namespace detail
 
 class StockhamEngine {

@@ -1,7 +1,8 @@
-// AVX2+FMA instantiation of the Stockham stage kernels. This translation
-// unit is the only one compiled with -mavx2 -mfma (see fft/CMakeLists.txt),
-// so a generic x86-64 build still links it and dispatches here at runtime
-// when CPUID reports AVX2+FMA (util::simd::active_backend()).
+// AVX2+FMA instantiation of the Stockham stage kernels and of the batched
+// real transform's pre/post passes. This translation unit is the only one
+// compiled with -mavx2 -mfma (see fft/CMakeLists.txt), so a generic x86-64
+// build still links it and dispatches here at runtime when CPUID reports
+// AVX2+FMA (util::simd::active_backend()).
 
 #include "fft/stockham_kernels.hpp"
 
@@ -25,6 +26,12 @@ void run_stage_tail_avx2(const StockhamStage& st, const Complex* tw,
                          Complex* y) {
   run_stage_tail_impl<util::simd::Avx2Pack>(st, tw, mat, inverse, nb, nchunks,
                                             xs, out_stride, x, y);
+}
+
+const RealPassKernels& real_pass_kernels_avx2() {
+  static constexpr RealPassKernels kernels =
+      real_pass_kernels_for<util::simd::Avx2Pack>();
+  return kernels;
 }
 
 }  // namespace psdns::fft::detail

@@ -223,4 +223,141 @@ void run_stage_tail_impl(const StockhamStage& st,
   }
 }
 
+// ---------------------------------------------------------------------
+// Pre/post passes of the batched real transform (PlanR2C::forward_batch
+// and inverse_batch). Each moves one block of nb lines between a big
+// line-major array (real lines of n = 2h samples, or spectra of h+1
+// coefficients) and the batch-innermost staging rows the half-length
+// Stockham stages run on (z[j*nb + b] = element j of line b), and applies
+// the half-length twiddle on the way. They walk the block line by line, so
+// every line of the big array streams through once as whole cache lines;
+// the transpose happens on the L1-resident staging side, where a pack is
+// one column of `width` rows (load_strided / store_strided: 2x2 complex
+// tiles in the AVX2 pack). Element-outer loops would instead walk all nb
+// lines at their (often power-of-two) stride once per element, which
+// thrashes L1.
+//
+// The twiddle tables hold the per-element factor c_k as (Re c_k, Re c_k)
+// at tw[k] and (Im c_k, Im c_k) at tw[h + 1 + k], k <= h, so one plain pack
+// load yields the cmul operands of `width` consecutive elements.
+
+// Runs body(pack_tag, j0, j1) over [begin, end): the full packs with P, the
+// ragged remainder with ScalarPack. The body loops j0..j1 in steps of the
+// pack width.
+template <class P, class Body>
+void sweep_elements(std::size_t begin, std::size_t end, Body&& body) {
+  const std::size_t main = end - (end - begin) % P::width;
+  if (main != begin) body(P{}, begin, main);
+  if constexpr (P::width > 1) {
+    if (main != end) body(util::simd::ScalarPack{}, main, end);
+  }
+}
+
+// s/2 + d * c for s = a + b, d = a - b: both twiddle passes have this form.
+template <class Q>
+Q half_sum_plus_twiddled_diff(Q a, Q b, Q cr, Q ci) {
+  return (a - b).cmul(cr, ci).add_scaled(a + b, Q::broadcast(0.5));
+}
+
+// Forward pre pass: z[j*nb + b] = (in[b][2j], in[b][2j+1]), j < h, with
+// line b at in + b*in_dist.
+template <class P>
+void r2c_pack_impl(const Real* in, std::size_t in_dist, std::size_t h,
+                   std::size_t nb, Complex* z) {
+  const auto zs = static_cast<std::ptrdiff_t>(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Real* PSDNS_RESTRICT line = in + b * in_dist;
+    Complex* PSDNS_RESTRICT col = z + b;
+    sweep_elements<P>(0, h, [=](auto tag, std::size_t j0, std::size_t j1) {
+      using Q = decltype(tag);
+      for (std::size_t j = j0; j < j1; j += Q::width) {
+        Q::load_pair(line + 2 * j).store_strided(col + j * nb, zs);
+      }
+    });
+  }
+}
+
+// Forward post pass: with Z the half-length transform of the packed
+// samples, X[k] = A + w^k B for A = (Z[k] + conj(Z[h-k]))/2 and
+// B = (Z[k] - conj(Z[h-k]))/(2i), i.e. X = s/2 + d c_k with s, d the sum and
+// difference and c_k = -i w^k / 2; out[b*out_dist + k] = X[k], k <= h.
+template <class P>
+void r2c_unravel_impl(const Complex* z, const Complex* tw, std::size_t h,
+                      std::size_t nb, Complex* out, std::size_t out_dist) {
+  using util::simd::ScalarPack;
+  const auto zs = static_cast<std::ptrdiff_t>(nb);
+  const Complex* twi = tw + h + 1;
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Complex* PSDNS_RESTRICT col = z + b;
+    Complex* PSDNS_RESTRICT line = out + b * out_dist;
+    // k = 0 and k = h both pair row 0 with itself (Z is h-periodic).
+    const ScalarPack z0 = ScalarPack::load(col);
+    for (const std::size_t k : {std::size_t{0}, h}) {
+      half_sum_plus_twiddled_diff(z0, z0.conj(), ScalarPack::load(tw + k),
+                                  ScalarPack::load(twi + k))
+          .store(line + k);
+    }
+    sweep_elements<P>(1, h, [=](auto tag, std::size_t k0, std::size_t k1) {
+      using Q = decltype(tag);
+      for (std::size_t k = k0; k < k1; k += Q::width) {
+        const Q zk = Q::load_strided(col + k * nb, zs);
+        const Q zm = Q::load_strided(col + (h - k) * nb, -zs).conj();
+        half_sum_plus_twiddled_diff(zk, zm, Q::load(tw + k), Q::load(twi + k))
+            .store(line + k);
+      }
+    });
+  }
+}
+
+// Inverse pre pass: recovers the packed half-length spectrum
+// Z[k] = A + iB, A = (X[k] + conj(X[h-k]))/2,
+// B = (X[k] - conj(X[h-k])) conj(w^k)/2, i.e. Z = s/2 + d c_k with
+// c_k = i conj(w^k) / 2; z[k*nb + b] = Z[k], k < h, with line b's spectrum
+// at in + b*in_dist.
+template <class P>
+void c2r_recover_impl(const Complex* in, std::size_t in_dist,
+                      const Complex* tw, std::size_t h, std::size_t nb,
+                      Complex* z) {
+  const auto zs = static_cast<std::ptrdiff_t>(nb);
+  const Complex* twi = tw + h + 1;
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Complex* PSDNS_RESTRICT line = in + b * in_dist;
+    Complex* PSDNS_RESTRICT col = z + b;
+    sweep_elements<P>(0, h, [=](auto tag, std::size_t k0, std::size_t k1) {
+      using Q = decltype(tag);
+      for (std::size_t k = k0; k < k1; k += Q::width) {
+        const Q xk = Q::load(line + k);
+        const Q xm = Q::load_strided(line + (h - k), -1).conj();
+        half_sum_plus_twiddled_diff(xk, xm, Q::load(tw + k), Q::load(twi + k))
+            .store_strided(col + k * nb, zs);
+      }
+    });
+  }
+}
+
+// Inverse post pass: out[b][2j], out[b][2j+1] = 2 Z[j] (the half-length
+// unnormalized inverse carries a factor h; the c2r convention wants n = 2h).
+template <class P>
+void c2r_scatter_impl(const Complex* z, std::size_t h, std::size_t nb,
+                      Real* out, std::size_t out_dist) {
+  const auto zs = static_cast<std::ptrdiff_t>(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Complex* PSDNS_RESTRICT col = z + b;
+    Real* PSDNS_RESTRICT line = out + b * out_dist;
+    sweep_elements<P>(0, h, [=](auto tag, std::size_t j0, std::size_t j1) {
+      using Q = decltype(tag);
+      for (std::size_t j = j0; j < j1; j += Q::width) {
+        const Q v = Q::load_strided(col + j * nb, zs);
+        (v + v).store_pair(line + 2 * j);
+      }
+    });
+  }
+}
+
+template <class P>
+constexpr RealPassKernels real_pass_kernels_for() {
+  return {&r2c_pack_impl<P>, &r2c_unravel_impl<P>, &c2r_recover_impl<P>,
+          &c2r_scatter_impl<P>};
+}
+
 }  // namespace psdns::fft::detail

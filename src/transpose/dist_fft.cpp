@@ -64,27 +64,20 @@ void SlabFft3d::forward(std::span<const Real* const> phys,
     auto& w = work_[v];
     w.ensure(h * n_ * my());
     yslab_ptrs_[v] = w.data();
-
-    // x: real-to-complex, all my()*n_ unit-stride lines as one batch.
-    {
-      obs::ScopedTimer timer("slab_fft.forward.x");
-      obs::TraceSpan span("slab_fft.forward.x", obs::SpanKind::Compute);
-      plan_x_->forward_batch(phys[v], n_, w.data(), h, n_ * my());
-    }
-    // z: strided lines (stride nxh) inside the Y-slab, one batch per plane.
-    {
-      obs::ScopedTimer timer("slab_fft.forward.z");
-      obs::TraceSpan span("slab_fft.forward.z", obs::SpanKind::Compute);
-      // Planes are disjoint: stripe them across the worker pool (the
-      // per-plane transform_batch then runs inline inside its stripe).
-      util::ThreadPool::global().parallel_for(
-          "fft.slab.z", 0, my(), [&](std::size_t jj) {
-            Complex* base = w.data() + h * n_ * jj;
-            plan_yz_->transform_batch(fft::Direction::Forward, base, base,
-                                      BatchLayout{.count = h, .stride = h,
-                                                  .dist = 1});
-          });
-    }
+    obs::ScopedTimer timer("slab_fft.forward.xz");
+    obs::TraceSpan span("slab_fft.forward.xz", obs::SpanKind::Compute);
+    // One pass per y-plane jj (lines [jj*n, (jj+1)*n) of both arrays): the
+    // x real-to-complex lines, then the z lines (stride nxh) of the same
+    // plane while it is still cache-resident. Planes are disjoint, so they
+    // stripe across the worker pool (the batched calls then run inline).
+    util::ThreadPool::global().parallel_for(
+        "fft.slab.xz", 0, my(), [&](std::size_t jj) {
+          Complex* plane = w.data() + h * n_ * jj;
+          plan_x_->forward_batch(phys[v] + n_ * n_ * jj, n_, plane, h, n_);
+          plan_yz_->transform_batch(fft::Direction::Forward, plane, plane,
+                                    BatchLayout{.count = h, .stride = h,
+                                                .dist = 1});
+        });
   }
 
   // Global transpose to Z-slabs, batched as np pencils / q per all-to-all.
@@ -114,7 +107,7 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
   const std::size_t h = nxh();
   if (work_.size() < 2 * nv) work_.resize(2 * nv);
 
-  // y-inverse into scratch Z-slabs (the input stays const).
+  // y-inverse out of place into scratch Z-slabs (the input stays const).
   if (zslab_ptrs_.size() < nv) zslab_ptrs_.resize(nv);
   if (yslab_ptrs_.size() < nv) yslab_ptrs_.resize(nv);
   {
@@ -124,11 +117,11 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
       auto& wz = work_[v];
       wz.ensure(h * n_ * mz());
       zslab_ptrs_[v] = wz.data();
-      std::copy(spec[v], spec[v] + spectral_elems(), wz.data());
       util::ThreadPool::global().parallel_for(
           "fft.slab.y", 0, mz(), [&](std::size_t kk) {
-            Complex* base = wz.data() + h * n_ * kk;
-            plan_yz_->transform_batch(fft::Direction::Inverse, base, base,
+            const std::size_t off = h * n_ * kk;
+            plan_yz_->transform_batch(fft::Direction::Inverse, spec[v] + off,
+                                      wz.data() + off,
                                       BatchLayout{.count = h, .stride = h,
                                                   .dist = 1});
           });
@@ -145,24 +138,18 @@ void SlabFft3d::inverse(std::span<const Complex* const> spec,
 
   for (std::size_t v = 0; v < nv; ++v) {
     Complex* w = yslab_ptrs_[v];
-    // z-inverse.
-    {
-      obs::ScopedTimer timer("slab_fft.inverse.z");
-      obs::TraceSpan span("slab_fft.inverse.z", obs::SpanKind::Compute);
-      util::ThreadPool::global().parallel_for(
-          "fft.slab.z", 0, my(), [&](std::size_t jj) {
-            Complex* base = w + h * n_ * jj;
-            plan_yz_->transform_batch(fft::Direction::Inverse, base, base,
-                                      BatchLayout{.count = h, .stride = h,
-                                                  .dist = 1});
-          });
-    }
-    // x: complex-to-real, batched over all lines of the Y-slab.
-    {
-      obs::ScopedTimer timer("slab_fft.inverse.x");
-      obs::TraceSpan span("slab_fft.inverse.x", obs::SpanKind::Compute);
-      plan_x_->inverse_batch(w, h, phys[v], n_, n_ * my());
-    }
+    obs::ScopedTimer timer("slab_fft.inverse.zx");
+    obs::TraceSpan span("slab_fft.inverse.zx", obs::SpanKind::Compute);
+    // Per y-plane, the z lines and then the plane's x complex-to-real
+    // lines, as in forward.
+    util::ThreadPool::global().parallel_for(
+        "fft.slab.xz", 0, my(), [&](std::size_t jj) {
+          Complex* plane = w + h * n_ * jj;
+          plan_yz_->transform_batch(fft::Direction::Inverse, plane, plane,
+                                    BatchLayout{.count = h, .stride = h,
+                                                .dist = 1});
+          plan_x_->inverse_batch(plane, h, phys[v] + n_ * n_ * jj, n_, n_);
+        });
   }
 }
 

@@ -1,11 +1,45 @@
 #include "transpose/slab.hpp"
 
+#include <algorithm>
+
 #include "gpu/copy.hpp"
 #include "obs/span.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace psdns::transpose {
+
+namespace {
+
+// Side of the square tiles in which the unpacks walk a received block.
+constexpr std::size_t kUnpackTile = 8;
+
+// The unpacks' transpose of one (rank, variable) block: the row (a, b) of w
+// elements moves from src + w*a + src_pitch*b to dst + dst_step*a +
+// dst_pitch*b, for a in tile `a_tile` of [0, na) and b < nb. The block is
+// b-major, so consecutive b are src_pitch apart (16 KiB, a power of two, at
+// N = 128 on 2 ranks in 4 pencils): a whole-b walk touches a new page and
+// the same L1 sets on every row. Square tiles cut that walk to kUnpackTile
+// rows, and the tile's other a-rows read the rest of the same lines.
+void unpack_tile(const Complex* src, std::size_t src_pitch, Complex* dst,
+                 std::size_t dst_step, std::size_t dst_pitch, std::size_t w,
+                 std::size_t a_tile, std::size_t na, std::size_t nb) {
+  const std::size_t a0 = a_tile * kUnpackTile;
+  const std::size_t a1 = std::min(a0 + kUnpackTile, na);
+  for (std::size_t b0 = 0; b0 < nb; b0 += kUnpackTile) {
+    const std::size_t rows = std::min(kUnpackTile, nb - b0);
+    for (std::size_t a = a0; a < a1; ++a) {
+      gpu::memcpy2d(dst + dst_step * a + dst_pitch * b0, dst_pitch,
+                    src + w * a + src_pitch * b0, src_pitch, w, rows);
+    }
+  }
+}
+
+std::size_t unpack_tiles(std::size_t na) {
+  return (na + kUnpackTile - 1) / kUnpackTile;
+}
+
+}  // namespace
 
 void SlabGrid::validate() const {
   PSDNS_REQUIRE(nxh >= 1 && ny >= 1 && nz >= 1, "empty grid");
@@ -71,20 +105,19 @@ void SlabTranspose::unpack_y(std::span<const Complex> recv, std::size_t x0,
   const std::size_t block = block_elems(w, vars_b.size());
 
   const std::size_t nvars = vars_b.size();
+  const std::size_t tiles = unpack_tiles(my);
   util::ThreadPool::global().parallel_for(
       "transpose.slab.unpack", 0,
-      static_cast<std::size_t>(comm_.size()) * nvars * my,
+      static_cast<std::size_t>(comm_.size()) * nvars * tiles,
       [&](std::size_t idx) {
-        const std::size_t jj = idx % my;
-        const std::size_t v = (idx / my) % nvars;
-        const std::size_t p = idx / (my * nvars);
-        const Complex* in = recv.data() + p * block;
-        // mz rows: the kk-th row lands at z index p*mz + kk of local y jj.
-        const Complex* src = in + w * (jj + my * mz * v);
-        Complex* dst =
-            vars_b[v] + x0 + grid_.nxh * (p * mz + grid_.nz * jj);
-        // Source rows are strided by w*my (kk-major within the block).
-        gpu::memcpy2d(dst, grid_.nxh, src, w * my, w, mz);
+        const std::size_t t = idx % tiles;
+        const std::size_t v = (idx / tiles) % nvars;
+        const std::size_t p = idx / (tiles * nvars);
+        // Block row (jj, kk) sits at w*(jj + my*kk) (kk-major); it lands at
+        // z index p*mz + kk of local y jj.
+        unpack_tile(recv.data() + p * block + w * my * mz * v, w * my,
+                    vars_b[v] + x0 + grid_.nxh * p * mz,
+                    grid_.nxh * grid_.nz, grid_.nxh, w, t, my, mz);
       });
 }
 
@@ -123,20 +156,19 @@ void SlabTranspose::unpack_z(std::span<const Complex> recv, std::size_t x0,
   const std::size_t block = block_elems(w, vars_a.size());
 
   const std::size_t nvars = vars_a.size();
+  const std::size_t tiles = unpack_tiles(mz);
   util::ThreadPool::global().parallel_for(
       "transpose.slab.unpack", 0,
-      static_cast<std::size_t>(comm_.size()) * nvars * mz,
+      static_cast<std::size_t>(comm_.size()) * nvars * tiles,
       [&](std::size_t idx) {
-        const std::size_t kk = idx % mz;
-        const std::size_t v = (idx / mz) % nvars;
-        const std::size_t p = idx / (mz * nvars);
-        const Complex* in = recv.data() + p * block;
-        const Complex* src = in + w * (kk + mz * my * v);
-        Complex* dst =
-            vars_a[v] + x0 + grid_.nxh * (p * my + grid_.ny * kk);
-        // jj-major: source rows strided by w*mz; destination rows strided by
-        // nxh (consecutive y).
-        gpu::memcpy2d(dst, grid_.nxh, src, w * mz, w, my);
+        const std::size_t t = idx % tiles;
+        const std::size_t v = (idx / tiles) % nvars;
+        const std::size_t p = idx / (tiles * nvars);
+        // Block row (kk, jj) sits at w*(kk + mz*jj) (jj-major); it lands at
+        // y index p*my + jj of local z kk.
+        unpack_tile(recv.data() + p * block + w * mz * my * v, w * mz,
+                    vars_a[v] + x0 + grid_.nxh * p * my,
+                    grid_.nxh * grid_.ny, grid_.nxh, w, t, mz, my);
       });
 }
 

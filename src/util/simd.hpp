@@ -114,6 +114,21 @@ struct ScalarPack {
     return {p->real(), p->imag()};
   }
   void store(std::complex<double>* p) const { *p = {re, im}; }
+  /// One complex from / to two adjacent reals (a real line read as pairs).
+  static ScalarPack load_pair(const double* p) { return {p[0], p[1]}; }
+  void store_pair(double* p) const {
+    p[0] = re;
+    p[1] = im;
+  }
+  /// Element i of the pack from / to p[i * stride]: one column of a
+  /// row-major block (a negative stride walks it backwards).
+  static ScalarPack load_strided(const std::complex<double>* p,
+                                 std::ptrdiff_t) {
+    return load(p);
+  }
+  void store_strided(std::complex<double>* p, std::ptrdiff_t) const {
+    store(p);
+  }
 
   friend ScalarPack operator+(ScalarPack a, ScalarPack b) {
     return {a.re + b.re, a.im + b.im};
@@ -132,6 +147,7 @@ struct ScalarPack {
   }
   /// this * (-i)
   ScalarPack mul_neg_i() const { return {im, -re}; }
+  ScalarPack conj() const { return {re, -im}; }
   /// this + s*u  (real scale)
   ScalarPack add_scaled(ScalarPack u, double s) const {
     return {re + s * u.re, im + s * u.im};
@@ -164,6 +180,21 @@ struct Avx2Pack {
   void store(std::complex<double>* p) const {
     _mm256_storeu_pd(reinterpret_cast<double*>(p), v);
   }
+  static Avx2Pack load_pair(const double* p) { return {_mm256_loadu_pd(p)}; }
+  void store_pair(double* p) const { _mm256_storeu_pd(p, v); }
+  // Two 128-bit halves: the insert and extract take a memory operand, so
+  // neither needs a shuffle.
+  static Avx2Pack load_strided(const std::complex<double>* p,
+                               std::ptrdiff_t stride) {
+    const auto* d = reinterpret_cast<const double*>(p);
+    return {_mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(d)),
+                                 _mm_loadu_pd(d + 2 * stride), 1)};
+  }
+  void store_strided(std::complex<double>* p, std::ptrdiff_t stride) const {
+    auto* d = reinterpret_cast<double*>(p);
+    _mm_storeu_pd(d, _mm256_castpd256_pd128(v));
+    _mm_storeu_pd(d + 2 * stride, _mm256_extractf128_pd(v, 1));
+  }
 
   friend Avx2Pack operator+(Avx2Pack a, Avx2Pack b) {
     return {_mm256_add_pd(a.v, b.v)};
@@ -189,6 +220,10 @@ struct Avx2Pack {
     // (re, im) -> (im, -re): swap within each complex, flip the odd lanes.
     const __m256d sw = _mm256_permute_pd(v, 0x5);
     return {_mm256_xor_pd(sw, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))};
+  }
+
+  Avx2Pack conj() const {
+    return {_mm256_xor_pd(v, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0))};
   }
 
   Avx2Pack add_scaled(Avx2Pack u, double s) const {

@@ -9,8 +9,6 @@
 
 namespace psdns::util {
 
-thread_local int ThreadPool::t_depth = 0;
-
 ThreadPool::ThreadPool(int threads) {
   PSDNS_REQUIRE(threads >= 1 && threads <= kMaxThreads,
                 "thread pool width out of range");
@@ -123,7 +121,7 @@ void ThreadPool::run_job(const char* stage, std::size_t begin,
 
 void ThreadPool::run_stripe(Job& job, int stripe) {
   const auto t0 = std::chrono::steady_clock::now();
-  ++t_depth;
+  ++depth();
   try {
     for (std::size_t i = job.begin + static_cast<std::size_t>(stripe);
          i < job.end; i += static_cast<std::size_t>(job.nstripes)) {
@@ -136,7 +134,7 @@ void ThreadPool::run_stripe(Job& job, int stripe) {
       job.error = std::current_exception();
     }
   }
-  --t_depth;
+  --depth();
   const auto ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)

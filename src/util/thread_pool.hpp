@@ -65,10 +65,10 @@ class ThreadPool {
   void parallel_for(const char* stage, std::size_t begin, std::size_t end,
                     F&& f) {
     if (end <= begin) return;
-    if (threads_ <= 1 || t_depth > 0 || end - begin == 1) {
-      ++t_depth;
+    if (threads_ <= 1 || depth() > 0 || end - begin == 1) {
+      ++depth();
       struct Depth {
-        ~Depth() { --t_depth; }
+        ~Depth() { --depth(); }
       } depth_guard;
       for (std::size_t i = begin; i < end; ++i) f(i);
       return;
@@ -124,7 +124,15 @@ class ThreadPool {
   void stop_workers();
   int stage_index(const char* name);
 
-  static thread_local int t_depth;  // >0 while inside any parallel_for
+  /// >0 while this thread runs inside any parallel_for. A function-local
+  /// thread_local with constant initialization: every access is a direct
+  /// TLS offset. (A static data member defined in another translation unit
+  /// is reached through GCC's TLS wrapper instead, whose address
+  /// computation UBSan misreports as a null-pointer load.)
+  static int& depth() {
+    thread_local int d = 0;
+    return d;
+  }
 
   static constexpr std::size_t kRing = 64;
   static constexpr int kMaxStages = 32;

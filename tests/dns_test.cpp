@@ -647,6 +647,36 @@ TEST(Spectrum, PeaksNearInjectedWavenumber) {
   });
 }
 
+TEST(Spectrum, TruncationCornerModesAreBinned) {
+  // The 2/3 truncation keeps |k| up to sqrt(3) (N-1)/3: at N = 16 the
+  // corner (5, 5, 5) has |k| = 8.66, shell 9, past N/2. Its energy must
+  // land in a shell, so the shells still sum to the total energy.
+  comm::run_ranks(2, [&](comm::Communicator& comm) {
+    SolverConfig cfg;
+    cfg.n = 16;
+    cfg.viscosity = 0.02;
+    SlabSolver solver(comm, cfg);
+    const int kmax = (static_cast<int>(cfg.n) - 1) / 3;
+    // One solenoidal corner mode: k . u = kmax (1 - 1) = 0.
+    for_each_mode(solver.modes(), [&](std::size_t idx, int kx, int ky,
+                                      int kz) {
+      const bool corner = kx == kmax && ky == kmax && kz == kmax;
+      solver.uhat(0)[idx] = corner ? Complex{0.3, -0.1} : Complex{};
+      solver.uhat(1)[idx] = corner ? Complex{-0.3, 0.1} : Complex{};
+      solver.uhat(2)[idx] = Complex{};
+    });
+    const auto spec = solver.spectrum();
+    const double energy = solver.diagnostics().energy;
+    ASSERT_EQ(spec.size(), spectrum_shells(cfg.n));
+    ASSERT_EQ(spec.size(), 10u);
+    EXPECT_GT(energy, 0.0);
+    EXPECT_NEAR(spec[9], energy, 1e-12 * energy);
+    double total = 0.0;
+    for (const double e : spec) total += e;
+    EXPECT_NEAR(total, energy, 1e-12 * energy);
+  });
+}
+
 TEST(Statistics, SpectrumEnergyAndEnstrophyIdentities) {
   comm::run_ranks(2, [&](comm::Communicator& comm) {
     SolverConfig cfg;
@@ -887,11 +917,9 @@ TEST(Regrid, UpsamplingPreservesEverySharedMode) {
 
     const auto sa = a.spectrum();
     const auto sb = b.spectrum();
-    // Shells fully representable on the small grid match exactly. (The
-    // small grid's corner modes reach |k| ~ 5*sqrt(3) ~ 8.7, which its own
-    // spectrum array truncates at shell N/2 = 8 but the fine grid resolves
-    // into shell 9, so only shells 0..7 are comparable arrays.)
-    for (std::size_t k = 0; k + 1 < sa.size(); ++k) {
+    // Every shell of the small grid matches exactly, including shell 9,
+    // which holds its truncation corners (|k| ~ 5*sqrt(3) ~ 8.7).
+    for (std::size_t k = 0; k < sa.size(); ++k) {
       EXPECT_NEAR(sb[k], sa[k], 1e-12) << "shell " << k;
     }
     // Nothing can appear beyond the small grid's corner radius.

@@ -258,7 +258,8 @@ TEST(Campaign, WritesSeriesAndSpectrumArtifacts) {
   });
   EXPECT_TRUE(std::filesystem::exists(series));
   const auto spec = io::read_spectrum_csv(spectrum);
-  EXPECT_EQ(spec.size(), 9u);  // N/2+1 shells
+  // Shells 0..9: the 2/3-truncation corner |k| = 5*sqrt(3) rounds to 9.
+  EXPECT_EQ(spec.size(), 10u);
   double total = 0.0;
   for (const double e : spec) total += e;
   EXPECT_GT(total, 0.0);

@@ -382,6 +382,80 @@ TEST(R2C, NyquistAndMeanAreReal) {
   EXPECT_NEAR(spec.back().imag(), 0.0, 1e-12);
 }
 
+// Batched real transforms over padded line layouts: line b of the real side
+// starts at b*(n+2), line b of the spectral side at b*(n/2+3).
+struct PaddedRealBatch {
+  std::size_t n, count, rdist, cdist;
+  std::vector<Real> real;
+  std::vector<Complex> spec;
+
+  PaddedRealBatch(std::size_t len, std::size_t lines, std::uint64_t seed)
+      : n(len), count(lines), rdist(len + 2), cdist(len / 2 + 3),
+        real(lines * rdist), spec(lines * cdist) {
+    util::Rng rng(seed);
+    for (auto& v : real) v = rng.gaussian();
+    for (auto& c : spec) c = Complex{rng.gaussian(), rng.gaussian()};
+  }
+};
+
+constexpr Real kRealPad = -123.25;
+const Complex kComplexPad{-7.5, 3.25};
+
+TEST(R2C, BatchMatchesPerLine) {
+  for (const std::size_t n : {2, 6, 8, 12, 48, 64, 96, 128, 7, 9}) {
+    for (const std::size_t count : {1, 3, 63, 64, 65, 130}) {
+      const PaddedRealBatch x(n, count, 31 * n + count);
+      const PlanR2C plan(n);
+      const std::size_t h = plan.spectrum_size();
+
+      // Forward: every line against the per-line transform; the two
+      // padding coefficients of every output line stay untouched.
+      std::vector<Complex> got(count * x.cdist, kComplexPad);
+      plan.forward_batch(x.real.data(), x.rdist, got.data(), x.cdist, count);
+      std::vector<Complex> want(count * h);
+      double scale = 1.0;
+      for (std::size_t b = 0; b < count; ++b) {
+        plan.forward(x.real.data() + b * x.rdist, want.data() + b * h);
+      }
+      for (const auto& c : want) scale = std::max(scale, std::abs(c));
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t k = 0; k < x.cdist; ++k) {
+          const Complex g = got[b * x.cdist + k];
+          if (k < h) {
+            ASSERT_LT(std::abs(g - want[b * h + k]), 1e-12 * scale)
+                << "forward n=" << n << " count=" << count << " b=" << b
+                << " k=" << k;
+          } else {
+            ASSERT_EQ(g, kComplexPad) << "forward pad n=" << n << " b=" << b;
+          }
+        }
+      }
+
+      // Inverse, with the spectra and reals in swapped roles.
+      std::vector<Real> back(count * x.rdist, kRealPad);
+      plan.inverse_batch(x.spec.data(), x.cdist, back.data(), x.rdist, count);
+      std::vector<Real> ref(count * n);
+      scale = 1.0;
+      for (std::size_t b = 0; b < count; ++b) {
+        plan.inverse(x.spec.data() + b * x.cdist, ref.data() + b * n);
+      }
+      for (const Real v : ref) scale = std::max(scale, std::abs(v));
+      for (std::size_t b = 0; b < count; ++b) {
+        for (std::size_t j = 0; j < x.rdist; ++j) {
+          const Real g = back[b * x.rdist + j];
+          if (j < n) {
+            ASSERT_LT(std::abs(g - ref[b * n + j]), 1e-12 * scale)
+                << "inverse n=" << n << " count=" << count << " b=" << b
+                << " j=" << j;
+          } else {
+            ASSERT_EQ(g, kRealPad) << "inverse pad n=" << n << " b=" << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- 3-D transforms ---
 
 TEST(Fft3d, C2CRoundTrip) {
@@ -598,6 +672,45 @@ TEST(Simd, BackendsAgreeOnReal3d) {
   double scale = 0.0;
   for (const auto& c : a) scale = std::max(scale, std::abs(c));
   EXPECT_LT(max_abs_diff(a, b), 1e-12 * scale);
+}
+
+TEST(Simd, BackendsAgreeOnRealBatch) {
+  if (!util::simd::avx2_supported()) {
+    GTEST_SKIP() << "no AVX2+FMA kernel on this build/CPU";
+  }
+  BackendGuard guard;
+  // Line counts below, at and across a block; lengths whose half is odd
+  // exercise the scalar remainder after the full packs.
+  for (const std::size_t n : {2, 6, 8, 12, 64, 96, 128}) {
+    for (const std::size_t count : {1, 3, 65, 130}) {
+      const PaddedRealBatch x(n, count, 17 * n + count);
+      const PlanR2C plan(n);
+      std::vector<Complex> fwd[2];
+      std::vector<Real> inv[2];
+      for (const auto backend :
+           {util::simd::Backend::Scalar, util::simd::Backend::Avx2}) {
+        util::simd::set_backend(backend);
+        const auto i = static_cast<std::size_t>(backend);
+        fwd[i].assign(count * x.cdist, kComplexPad);
+        inv[i].assign(count * x.rdist, kRealPad);
+        plan.forward_batch(x.real.data(), x.rdist, fwd[i].data(), x.cdist,
+                           count);
+        plan.inverse_batch(x.spec.data(), x.cdist, inv[i].data(), x.rdist,
+                           count);
+      }
+      double fscale = 1.0, iscale = 1.0;
+      for (const auto& c : fwd[0]) fscale = std::max(fscale, std::abs(c));
+      for (const Real v : inv[0]) iscale = std::max(iscale, std::abs(v));
+      EXPECT_LT(max_abs_diff(fwd[0], fwd[1]), 1e-12 * fscale)
+          << "forward n=" << n << " count=" << count;
+      double idiff = 0.0;
+      for (std::size_t j = 0; j < inv[0].size(); ++j) {
+        idiff = std::max(idiff, std::abs(inv[0][j] - inv[1][j]));
+      }
+      EXPECT_LT(idiff, 1e-12 * iscale) << "inverse n=" << n
+                                       << " count=" << count;
+    }
+  }
 }
 
 // --- worker-pool determinism ---

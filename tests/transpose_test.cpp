@@ -344,35 +344,48 @@ INSTANTIATE_TEST_SUITE_P(Ranks, SlabFftP, ::testing::Values(1, 2, 4, 8),
                          });
 
 TEST(SlabFft, PooledForwardBitwiseMatchesInline) {
-  // The pooled pack/unpack and line-FFT loops stripe deterministically, so
-  // widening the worker pool must not move a single bit of the result.
-  const std::size_t n = 16;
-  std::vector<Complex> inline_spec, pooled_spec;
-  auto& pool = util::ThreadPool::global();
-  const int prev = pool.threads();
-  for (std::vector<Complex>* out : {&inline_spec, &pooled_spec}) {
-    pool.set_threads(out == &inline_spec ? 1 : 4);
-    comm::run_ranks(2, [&](comm::Communicator& comm) {
-      SlabFft3d fft3(comm, n);
-      const std::size_t my = fft3.my();
-      const std::size_t y0 = static_cast<std::size_t>(comm.rank()) * my;
-      std::vector<Real> phys(fft3.physical_elems());
-      for (std::size_t jj = 0; jj < my; ++jj) {
-        for (std::size_t k = 0; k < n; ++k) {
-          for (std::size_t i = 0; i < n; ++i) {
-            phys[i + n * (k + n * jj)] = rval(i, y0 + jj, k);
+  // The pooled pack/unpack and fused x+z plane loops stripe
+  // deterministically, so widening the worker pool must not move a single
+  // bit of the result, forward or inverse. n = 128 runs more than one block
+  // per plane in both the x pass (128 lines) and the z pass (65 lines).
+  for (const std::size_t n : {16, 128}) {
+    std::vector<Complex> inline_spec, pooled_spec;
+    std::vector<Real> inline_back, pooled_back;
+    auto& pool = util::ThreadPool::global();
+    const int prev = pool.threads();
+    for (const bool pooled : {false, true}) {
+      pool.set_threads(pooled ? 4 : 1);
+      comm::run_ranks(2, [&](comm::Communicator& comm) {
+        SlabFft3d fft3(comm, n);
+        const std::size_t my = fft3.my();
+        const std::size_t y0 = static_cast<std::size_t>(comm.rank()) * my;
+        std::vector<Real> phys(fft3.physical_elems());
+        for (std::size_t jj = 0; jj < my; ++jj) {
+          for (std::size_t k = 0; k < n; ++k) {
+            for (std::size_t i = 0; i < n; ++i) {
+              phys[i + n * (k + n * jj)] = rval(i, y0 + jj, k);
+            }
           }
         }
-      }
-      std::vector<Complex> spec(fft3.spectral_elems());
-      fft3.forward(phys, spec);
-      if (comm.rank() == 0) *out = spec;
-    });
-  }
-  pool.set_threads(prev);
-  ASSERT_EQ(inline_spec.size(), pooled_spec.size());
-  for (std::size_t i = 0; i < inline_spec.size(); ++i) {
-    ASSERT_EQ(inline_spec[i], pooled_spec[i]) << "i=" << i;
+        std::vector<Complex> spec(fft3.spectral_elems());
+        fft3.forward(phys, spec);
+        std::vector<Real> back(fft3.physical_elems());
+        fft3.inverse(spec, back);
+        if (comm.rank() == 0) {
+          (pooled ? pooled_spec : inline_spec) = spec;
+          (pooled ? pooled_back : inline_back) = back;
+        }
+      });
+    }
+    pool.set_threads(prev);
+    ASSERT_EQ(inline_spec.size(), pooled_spec.size());
+    for (std::size_t i = 0; i < inline_spec.size(); ++i) {
+      ASSERT_EQ(inline_spec[i], pooled_spec[i]) << "n=" << n << " i=" << i;
+    }
+    ASSERT_EQ(inline_back.size(), pooled_back.size());
+    for (std::size_t i = 0; i < inline_back.size(); ++i) {
+      ASSERT_EQ(inline_back[i], pooled_back[i]) << "n=" << n << " i=" << i;
+    }
   }
 }
 
